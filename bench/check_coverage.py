@@ -15,20 +15,20 @@ dtype) cell's detection quality regresses:
     whose baseline had none, or
   * a baseline cell is missing from the candidate.
 
-Protected-control-plane gates (PR 7), checked on the candidate alone:
+Protected-control-plane gates, checked on the candidate alone, on
+the serving engine's ("continuous") cells at every swept dtype:
 
-  * scheduler_state cells must exist on BOTH engines and clear
-    --min-protected-coverage with their coverage upper bound (the sealed
-    session metadata closed what used to be a 0%-coverage blind spot —
-    this gate keeps it closed), and
-  * latent_kv cells must exist on both engines, clear the same coverage
-    floor, and attribute at least --min-scrub-fraction of their detected
-    trials to the background scrubber (scrub_found) — detection must
-    happen before a decode read trips on the corruption, not at it, and
-  * shared_prefix cells (PR 8: one corrupted shared page, many readers)
-    must exist on both engines and clear the same coverage floor — the
-    single-checksum multi-reader pages must stay as well-detected as
-    private ones.
+  * scheduler_state cells must exist and clear --min-protected-coverage
+    with their coverage upper bound (the sealed session metadata closed
+    what used to be a 0%-coverage blind spot — this gate keeps it
+    closed), and
+  * latent_kv cells must exist, clear the same coverage floor, and
+    attribute at least --min-scrub-fraction of their detected trials to
+    the background scrubber (scrub_found) — detection must happen before
+    a decode read trips on the corruption, not at it, and
+  * shared_prefix cells (one corrupted shared page, many readers) must
+    exist and clear the same coverage floor — the single-checksum
+    multi-reader pages must stay as well-detected as private ones.
 
 Comparing CI bounds against baseline point values (rather than point vs
 point) keeps the gate honest across trial counts: the CI smoke run uses
@@ -155,34 +155,34 @@ def main():
     if not checked:
         failures.append("baseline has no result cells")
 
-    # Protected-control-plane gates: candidate-only structural floors,
-    # enforced at EVERY swept storage dtype — low-precision serving must
-    # keep the control plane as well-detected as f32 did.
+    # Protected-control-plane gates: candidate-only structural floors on
+    # the serving engine's cells, enforced at EVERY swept storage dtype —
+    # low-precision serving must keep the control plane as well-detected as
+    # f32 did.
     for dtype in swept_dtypes(candidate):
         for subsystem in ("scheduler_state", "latent_kv", "shared_prefix"):
-            for scheduler in ("legacy", "continuous"):
-                label = f"{scheduler}/{subsystem}@{dtype}"
-                cell = candidate_cells.get((scheduler, subsystem, dtype))
-                if cell is None:
-                    failures.append(f"missing protected cell: {label}")
-                    continue
-                cov_high = cell.get("coverage_ci_high", 0.0)
-                if cov_high < args.min_protected_coverage:
-                    failures.append(
-                        f"{label}: coverage upper bound {cov_high:.4f} < "
-                        f"floor {args.min_protected_coverage}")
-                if subsystem != "latent_kv":
-                    continue
-                outcomes = cell.get("outcomes", {})
-                detected = (outcomes.get("detected_corrected", 0) +
-                            outcomes.get("detected_uncorrected", 0))
-                scrub_found = cell.get("scrub_found", 0)
-                if detected > 0 and scrub_found < (
-                        args.min_scrub_fraction * detected):
-                    failures.append(
-                        f"{label}: scrubber found {scrub_found}/{detected} "
-                        f"detected latent trials "
-                        f"(< {args.min_scrub_fraction:.0%})")
+            label = f"continuous/{subsystem}@{dtype}"
+            cell = candidate_cells.get(("continuous", subsystem, dtype))
+            if cell is None:
+                failures.append(f"missing protected cell: {label}")
+                continue
+            cov_high = cell.get("coverage_ci_high", 0.0)
+            if cov_high < args.min_protected_coverage:
+                failures.append(
+                    f"{label}: coverage upper bound {cov_high:.4f} < "
+                    f"floor {args.min_protected_coverage}")
+            if subsystem != "latent_kv":
+                continue
+            outcomes = cell.get("outcomes", {})
+            detected = (outcomes.get("detected_corrected", 0) +
+                        outcomes.get("detected_uncorrected", 0))
+            scrub_found = cell.get("scrub_found", 0)
+            if detected > 0 and scrub_found < (
+                    args.min_scrub_fraction * detected):
+                failures.append(
+                    f"{label}: scrubber found {scrub_found}/{detected} "
+                    f"detected latent trials "
+                    f"(< {args.min_scrub_fraction:.0%})")
 
     if failures:
         print(f"coverage gate FAILED ({len(failures)} problem(s), "

@@ -15,23 +15,15 @@
 //           fault recovering in place and a persistent one escalating to
 //           the verified reference fallback — reported per op kind from
 //           the unified OpReport telemetry.
-//   act 5 — a corrupted-KV-cache rescue: autoregressive generation
-//           sessions (prefill + resumable decode steps) run through the
-//           same server; a storage upset lands in one session's cached K
-//           between decode steps, the cache's running column checksum
-//           alarms on the next read, the cache is re-materialized from its
-//           checkpoint, and the session finishes with exactly the tokens
-//           of an uncorrupted run — the kv_cache op kind carries the
-//           alarm/recovery in telemetry.
-//   act 6 — continuous batching over the paged KV pool: a second server
-//           runs --scheduler=continuous with a deliberately tight page
-//           pool, so eight concurrent sessions decode in one batched sweep
+//   act 5 — continuous batching over the paged KV pool: a second server
+//           runs with a deliberately tight page pool, so eight concurrent
+//           sessions decode in one batched sweep
 //           per tick, preempt each other under page pressure and resume
 //           losslessly — while one session takes a KV-page *double fault*
 //           (page data + its page-table entry corrupted in the same tick),
 //           recovered from the page checkpoints with token-for-token
 //           parity against its fault-free twin.
-//   act 7 — the scrubber heals a latent fault: a session takes a KV upset
+//   act 6 — the scrubber heals a latent fault: a session takes a KV upset
 //           at the start of a multi-tick idle window. No decode step is
 //           there to trip on it — the scrub pass between ticks walks the
 //           idle session's pages, finds the stale checksum and
@@ -42,7 +34,7 @@
 //           scrub pass interleave deterministically; session metadata
 //           rides sealed GuardedRecords and the LayerNorm/GELU glue runs
 //           dual-modular throughout.
-//   act 8 — shared-prefix caching under fire: two sessions carry the same
+//   act 7 — shared-prefix caching under fire: two sessions carry the same
 //           template stem, so the second maps the first's prefill pages
 //           (one physical copy, one checksum, two readers) and skips its
 //           own prefill. One bit upset lands in the shared page — BOTH
@@ -51,7 +43,7 @@
 //           is stale) yet the page is re-materialized exactly once, and
 //           both sessions finish with token-for-token parity against the
 //           clean run.
-//   act 9 — the flight recorder replays a fault's aftermath: a session
+//   act 8 — the flight recorder replays a fault's aftermath: a session
 //           takes a KV upset with a flight recorder and trace collector
 //           attached; after the run the recorder's bounded ring replays
 //           the alarm -> recovery sequence in order — the same post-mortem
@@ -63,7 +55,7 @@
 // Knobs: --threads=N --max-batch=N --batch-deadline-us=N
 //        --dtype=f32|bf16|f16 (storage dtype for weights + KV; low
 //        precision serves with calibrated checksum tolerances)
-//        --inject-faults=BOOL (acts 2-5 faults on/off, default true)
+//        --inject-faults=BOOL (injected faults on/off, default true)
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -250,70 +242,13 @@ int main(int argc, char** argv) {
     for (auto& f : futures) all_clean = describe(f.get()) && all_clean;
   }
 
-  // --- act 5: a corrupted KV cache rescued mid-generation. ---
-  std::cout << "\nact 5 — generation sessions + a corrupted-KV-cache "
-               "rescue:\n";
-  {
-    const std::vector<std::size_t> prompt =
-        server.model().encode("the quick brown fox jumps over the lazy dog");
-    const std::size_t max_new = 5;
-
-    const auto make_generation_request = [&] {
-      ServeRequest request;
-      request.category = "generation";
-      GenerationWork work;
-      work.prompt = prompt;
-      work.max_new_tokens = max_new;
-      request.work = std::move(work);
-      return request;
-    };
-    const auto describe_session = [&](const ServeResponse& r,
-                                      const char* label) {
-      std::cout << "  session " << r.id << " (" << label << "): tokens [";
-      for (std::size_t t = 0; t < r.tokens.size(); ++t) {
-        std::cout << (t ? " " : "") << r.tokens[t];
-      }
-      std::cout << "] path=" << serve_path_name(r.path)
-                << " ttft=" << r.ttft_us << "us steps=" << r.decode_steps
-                << " alarms=" << r.alarm_events
-                << " checksum=" << (r.checksum_clean ? "clean" : "DIRTY")
-                << '\n';
-      return r.checksum_clean;
-    };
-
-    ServeResponse clean_run =
-        server.submit(make_generation_request()).get();
-    all_clean = describe_session(clean_run, "clean") && all_clean;
-
-    if (inject_faults) {
-      ServeRequest corrupted = make_generation_request();
-      KvCorruption upset;
-      upset.step = 2;   // read by the second decode step...
-      upset.layer = 1;  // ...in layer 1's cached K.
-      upset.row = 3;
-      upset.col = 17;
-      upset.delta = 1.5;
-      std::get<GenerationWork>(corrupted.work).kv_corruptions = {upset};
-      const ServeResponse rescued =
-          server.submit(std::move(corrupted)).get();
-      all_clean = describe_session(rescued, "KV upset") && all_clean;
-      const bool same_tokens = rescued.tokens == clean_run.tokens;
-      std::cout << "  cache checksum alarmed, re-materialized from "
-                   "checkpoint; tokens match clean run: "
-                << (same_tokens ? "yes" : "NO (?!)") << '\n';
-      all_clean = all_clean && same_tokens &&
-                  rescued.path == ServePath::kGuardedRecovered;
-    }
-  }
-
-  // --- act 6: continuous batching + a KV-page double-fault rescue. ---
-  std::cout << "\nact 6 — continuous batching over the paged KV pool "
+  // --- act 5: continuous batching + a KV-page double-fault rescue. ---
+  std::cout << "\nact 5 — continuous batching over the paged KV pool "
                "(8 sessions, tight pool):\n";
   {
     ServerConfig continuous = config;
     continuous.max_sessions = 8;
     continuous.model.max_seq_len = 24;
-    continuous.scheduler.mode = SchedulerMode::kContinuous;
     continuous.scheduler.page_size = 4;
     // 2 layers x 6 pages fits one full session; ~half of what 8 sessions
     // want, so preemption/resume must carry the run.
@@ -384,15 +319,14 @@ int main(int argc, char** argv) {
     engine.shutdown();
   }
 
-  // --- act 7: the scrubber heals latent corruption on an idle session. ---
-  std::cout << "\nact 7 — background scrub of a latent KV fault during an "
+  // --- act 6: the scrubber heals latent corruption on an idle session. ---
+  std::cout << "\nact 6 — background scrub of a latent KV fault during an "
                "idle window:\n";
   {
     // Tick-stepped continuous engine: every scheduler tick runs one
     // deterministic scrub pass, so the idle window and the scrubber
     // interleave reproducibly instead of racing wall-clock threads.
     serve::StepperConfig stepped;
-    stepped.mode = SchedulerMode::kContinuous;
     stepped.page_size = 4;
     stepped.executor_options.dmr_glue = true;  // dual-modular glue ops.
     stepped.executor_options.dtype = common->dtype;
@@ -453,12 +387,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- act 8: one corrupted shared-prefix page, every reader alarms. ---
-  std::cout << "\nact 8 — shared-prefix caching: one upset in a shared page, "
+  // --- act 7: one corrupted shared-prefix page, every reader alarms. ---
+  std::cout << "\nact 7 — shared-prefix caching: one upset in a shared page, "
                "every reader alarms, one heal:\n";
   {
     serve::StepperConfig stepped;
-    stepped.mode = SchedulerMode::kContinuous;
     stepped.page_size = 4;
     stepped.executor_options.dmr_glue = true;
     stepped.executor_options.dtype = common->dtype;
@@ -528,14 +461,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- act 9: the flight recorder replays a fault's aftermath. ---
-  std::cout << "\nact 9 — flight-recorder replay of an injected fault's "
+  // --- act 8: the flight recorder replays a fault's aftermath. ---
+  std::cout << "\nact 8 — flight-recorder replay of an injected fault's "
                "protection events:\n";
   {
     obs::FlightRecorder recorder(/*capacity=*/32);
     obs::TraceCollector collector;
     serve::StepperConfig stepped;
-    stepped.mode = SchedulerMode::kContinuous;
     stepped.page_size = 4;
     stepped.executor_options.dtype = common->dtype;
     if (common->dtype != DType::kF32) {

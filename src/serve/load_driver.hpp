@@ -46,9 +46,9 @@ struct FaultInjectionConfig {
   double kv_corruption_fraction = 0.5;
   /// Generation mode: element shift of a KV-cache corruption.
   double kv_corruption_delta = 1.0;
-  /// Of KV-cache upsets, the fraction redirected at the page *table*
-  /// (continuous scheduler's mapping state; the legacy cache degrades them
-  /// to data upsets). 0 keeps the PR 5 draw stream bit-identical.
+  /// Of KV-cache upsets, the fraction redirected at the page *table* (the
+  /// paged pool's mapping state). 0 keeps the draw stream of runs without
+  /// table upsets bit-identical.
   double page_table_fraction = 0.0;
   /// Of KV-cache upsets, the fraction landing on checksum *state* (running
   /// sums / table checksum) instead of data — the false-alarm recovery

@@ -28,11 +28,11 @@ import unittest
 BENCH_DIR = None  # resolved in __main__ below.
 
 
-def protected_cell(scheduler, subsystem):
-    """A healthy scheduler_state/latent_kv cell: near-total detection,
-    latent detections fully attributed to the scrubber."""
+def protected_cell(subsystem):
+    """A healthy scheduler_state/latent_kv/shared_prefix cell: near-total
+    detection, latent detections fully attributed to the scrubber."""
     return {
-        "scheduler": scheduler, "subsystem": subsystem,
+        "scheduler": "continuous", "subsystem": subsystem,
         "trials": 1000,
         "outcomes": {"detected_corrected": 960,
                      "detected_uncorrected": 0, "masked": 40,
@@ -47,7 +47,7 @@ def protected_cell(scheduler, subsystem):
 
 def coverage_baseline():
     """A minimal but schema-complete fault-campaign report (includes the
-    six protected cells the candidate-only gates require)."""
+    three protected cells the candidate-only gates require)."""
     return {
         "bench": "fault_campaign",
         "config": {
@@ -60,7 +60,7 @@ def coverage_baseline():
         "trials_per_cell": 1000,
         "results": [
             {
-                "scheduler": "legacy", "subsystem": "activations",
+                "scheduler": "continuous", "subsystem": "activations",
                 "trials": 1000,
                 "outcomes": {"detected_corrected": 900,
                              "detected_uncorrected": 50, "masked": 30,
@@ -81,12 +81,9 @@ def coverage_baseline():
                 "sdc_ci_low": 0.005, "sdc_ci_high": 0.018,
                 "time_curve": [], "per_op_kind": [],
             },
-            protected_cell("legacy", "scheduler_state"),
-            protected_cell("continuous", "scheduler_state"),
-            protected_cell("legacy", "latent_kv"),
-            protected_cell("continuous", "latent_kv"),
-            protected_cell("legacy", "shared_prefix"),
-            protected_cell("continuous", "shared_prefix"),
+            protected_cell("scheduler_state"),
+            protected_cell("latent_kv"),
+            protected_cell("shared_prefix"),
         ],
     }
 
@@ -222,18 +219,16 @@ class GateScriptTest(unittest.TestCase):
 
     # --- check_coverage.py: protected-control-plane floors -----------
 
-    def protected_index(self, report, scheduler, subsystem):
+    def protected_index(self, report, subsystem):
         for i, cell in enumerate(report["results"]):
-            if (cell["scheduler"], cell["subsystem"]) == (scheduler,
-                                                          subsystem):
+            if cell["subsystem"] == subsystem:
                 return i
-        self.fail(f"fixture lacks {scheduler}/{subsystem}")
+        self.fail(f"fixture lacks {subsystem}")
 
     def test_missing_protected_cell_fails(self):
         base = self.write("base.json", coverage_baseline())
         cand = coverage_baseline()
-        del cand["results"][self.protected_index(cand, "continuous",
-                                                 "latent_kv")]
+        del cand["results"][self.protected_index(cand, "latent_kv")]
         result = self.run_gate("check_coverage.py", base,
                                self.write("cand.json", cand))
         self.assertEqual(result.returncode, 1, result.stdout)
@@ -245,8 +240,7 @@ class GateScriptTest(unittest.TestCase):
         # scheduler_state sliding under the absolute floor must fail —
         # that cell was a 0%-coverage blind spot once already.
         cand = coverage_baseline()
-        cell = cand["results"][self.protected_index(cand, "legacy",
-                                                    "scheduler_state")]
+        cell = cand["results"][self.protected_index(cand, "scheduler_state")]
         cell["detection_coverage"] = 0.5
         cell["coverage_ci_low"] = 0.47
         cell["coverage_ci_high"] = 0.53
@@ -254,15 +248,14 @@ class GateScriptTest(unittest.TestCase):
         result = self.run_gate("check_coverage.py", base,
                                self.write("cand.json", cand))
         self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("legacy/scheduler_state", result.stdout)
+        self.assertIn("continuous/scheduler_state", result.stdout)
         self.assertIn("floor", result.stdout)
 
     def test_shared_prefix_coverage_floor_slip_fails(self):
         # The shared template pages carry ONE checksum for MANY readers;
         # losing detection there silently corrupts every hit session.
         cand = coverage_baseline()
-        cell = cand["results"][self.protected_index(cand, "continuous",
-                                                    "shared_prefix")]
+        cell = cand["results"][self.protected_index(cand, "shared_prefix")]
         cell["detection_coverage"] = 0.6
         cell["coverage_ci_low"] = 0.57
         cell["coverage_ci_high"] = 0.63
@@ -277,8 +270,7 @@ class GateScriptTest(unittest.TestCase):
         # Detection at the resumed read is the wrong mechanism: the
         # scrubber must find latent faults inside the idle window.
         cand = coverage_baseline()
-        cell = cand["results"][self.protected_index(cand, "legacy",
-                                                    "latent_kv")]
+        cell = cand["results"][self.protected_index(cand, "latent_kv")]
         cell["scrub_found"] = 100  # 960 detected, scrubber saw 100.
         base = self.write("base.json", cand)
         result = self.run_gate("check_coverage.py", base,

@@ -1,9 +1,9 @@
 // End-to-end tests of the continuous-batching scheduler: token parity with
-// the legacy per-session engine, >= 8-way concurrent decode with batch
+// the model's own generate() oracle, >= 8-way concurrent decode with batch
 // occupancy, preemption under page pressure with lossless resume, the
 // KV-page double-fault drill (page data + page-table entry corrupted in the
 // same tick), emulated step faults, the SessionTable starvation guard, and
-// generate-mode load-driver reconciliation in continuous mode.
+// generate-mode load-driver reconciliation.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -39,7 +39,6 @@ ServerConfig continuous_config(std::size_t max_sessions = 8,
   config.model = small_model();
   config.software_checker = CheckerConfig{1e-6};
   config.max_sessions = max_sessions;
-  config.scheduler.mode = SchedulerMode::kContinuous;
   config.scheduler.page_size = page_size;
   config.scheduler.num_pages = num_pages;
   return config;
@@ -66,27 +65,25 @@ std::size_t count_kind(const ServeResponse& response, OpKind kind) {
   return total;
 }
 
-TEST(Scheduler, ContinuousSessionMatchesLegacyTokens) {
-  ServerConfig legacy = continuous_config();
-  legacy.scheduler.mode = SchedulerMode::kLegacy;
-  std::vector<std::size_t> legacy_tokens;
-  {
-    InferenceServer server(legacy);
-    legacy_tokens = server.submit(make_generation_request(5)).get().tokens;
-  }
-
-  InferenceServer server(continuous_config());
-  EXPECT_EQ(server.scheduler_mode(), SchedulerMode::kContinuous);
+TEST(Scheduler, ContinuousSessionMatchesModelGenerateTokens) {
+  const ServerConfig config = continuous_config();
+  InferenceServer server(config);
   const ServeResponse response =
       server.submit(make_generation_request(5)).get();
+  // The oracle: the model's own contiguous-cache greedy decode of the same
+  // prompt under a fresh guarded executor.
+  const GuardedExecutor exec(config.software_checker, config.recovery);
+  KvCache cache = server.model().make_cache();
+  const GenerationResult golden = server.model().generate(
+      test_prompt(), 5, AttentionBackend::kFlashAbft, exec, cache);
   EXPECT_EQ(response.path, ServePath::kGuardedClean);
   EXPECT_TRUE(response.checksum_clean);
-  EXPECT_EQ(response.tokens, legacy_tokens);
+  EXPECT_EQ(response.tokens, golden.tokens);
   EXPECT_EQ(response.decode_steps, 4u);
   EXPECT_GT(response.ttft_us, 0.0);
   EXPECT_EQ(response.preemptions, 0u);
-  // Each decode step verifies every layer's pages + mapping (kKvPage), and
-  // the legacy kKvCache op never appears on this path.
+  // Each decode step verifies every layer's pages + mapping (kKvPage); the
+  // contiguous cache's kKvCache op never appears on the serving path.
   EXPECT_EQ(count_kind(response, OpKind::kKvPage),
             4u * small_model().num_layers);
   EXPECT_EQ(count_kind(response, OpKind::kKvCache), 0u);

@@ -1,8 +1,7 @@
 // End-to-end tests of generation sessions through the inference server:
-// the GenerationWork variant, session scheduling (continuation re-enqueue,
-// bounded concurrent sessions with parking), TTFT/token telemetry, emulated
-// step faults, the corrupted-KV-cache rescue, and the generate-mode load
-// driver.
+// the GenerationWork variant, session scheduling (bounded concurrent
+// sessions with parking), TTFT/token telemetry, emulated step faults, the
+// corrupted-KV-page rescue, and the generate-mode load driver.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -74,8 +73,8 @@ TEST(ServeGenerate, CleanSessionCompletesWithTokensAndTelemetry) {
   EXPECT_EQ(response.decode_steps, kNew - 1);
   EXPECT_GT(response.ttft_us, 0.0);
   EXPECT_GE(response.total_us, response.ttft_us);
-  // Each decode step verifies every layer's cache.
-  EXPECT_EQ(count_kind(response, OpKind::kKvCache),
+  // Each decode step verifies every layer's pages.
+  EXPECT_EQ(count_kind(response, OpKind::kKvPage),
             (kNew - 1) * small_model().num_layers);
   EXPECT_EQ(response.alarm_events, 0u);
 
@@ -86,7 +85,7 @@ TEST(ServeGenerate, CleanSessionCompletesWithTokensAndTelemetry) {
   EXPECT_EQ(s.tokens_generated, kNew);
   EXPECT_EQ(s.decode_steps, kNew - 1);
   EXPECT_GT(s.ttft_p50_us, 0.0);
-  EXPECT_EQ(s.per_kind[std::size_t(OpKind::kKvCache)].checks,
+  EXPECT_EQ(s.per_kind[std::size_t(OpKind::kKvPage)].checks,
             (kNew - 1) * small_model().num_layers);
   EXPECT_EQ(server.active_sessions(), 0u);
 }
@@ -123,12 +122,12 @@ TEST(ServeGenerate, KvCorruptionIsRescuedEndToEnd) {
   EXPECT_TRUE(rescued.checksum_clean);
   EXPECT_EQ(rescued.alarm_events, 1u);
   EXPECT_EQ(rescued.fallback_ops, 0u);
-  // Identical tokens to the uncorrupted session: the cache was
+  // Identical tokens to the uncorrupted session: the page was
   // re-materialized from its checkpoint before the read.
   EXPECT_EQ(rescued.tokens, golden.tokens);
 
   const TelemetrySnapshot s = server.telemetry().snapshot();
-  const OpKindStats& kv = s.per_kind[std::size_t(OpKind::kKvCache)];
+  const OpKindStats& kv = s.per_kind[std::size_t(OpKind::kKvPage)];
   EXPECT_EQ(kv.alarms, 1u);
   EXPECT_EQ(kv.recovered, 1u);
   EXPECT_EQ(kv.escalated, 0u);
@@ -265,8 +264,13 @@ TEST(SessionTableUnit, ActivateParkThenShed) {
   EXPECT_EQ(table.active(), 1u);
   EXPECT_EQ(table.parked(), 1u);
 
-  // Finishing the active session activates the parked one, FIFO order.
-  auto [finished, next] = table.finish(a.activated->key);
+  // Releasing the active session frees its slot; the parked one activates
+  // in FIFO order.
+  std::unique_ptr<GenerationSession> finished =
+      table.release(a.activated->key);
+  EXPECT_EQ(finished->id, 1u);
+  EXPECT_EQ(table.active(), 0u);
+  GenerationSession* next = table.try_activate_parked();
   ASSERT_NE(next, nullptr);
   EXPECT_EQ(next->id, 2u);
   EXPECT_EQ(table.active(), 1u);
@@ -286,11 +290,6 @@ TEST(ServeGenerate, MalformedGenerationRequestThrowsAtAdmission) {
     work.prompt = {1, 2, 3};
     work.max_new_tokens = small_model().max_seq_len;  // won't fit.
     bad.work = std::move(work);
-    EXPECT_THROW((void)server.submit(std::move(bad)), EnsureError);
-  }
-  {
-    ServeRequest bad;
-    bad.work = DecodeStepWork{42};  // internal-only payload.
     EXPECT_THROW((void)server.submit(std::move(bad)), EnsureError);
   }
   // A well-formed session still completes afterwards.
