@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   const std::size_t n = std::size_t(args.get_int("seq-len", 256));
   const std::size_t d = std::size_t(args.get_int("head-dim", 128));
   const std::size_t trials = std::size_t(args.get_int("trials", 400));
+  if (!all_flags_known(args)) return 2;
 
   std::cout << "== Checking-scheme comparison, N=" << n << ", d=" << d
             << " ==\n\n";

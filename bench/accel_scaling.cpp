@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
 
   const CliArgs args(argc, argv);
   const std::size_t n = std::size_t(args.get_int("seq-len", 256));
+  if (!all_flags_known(args)) return 2;
 
   std::cout << "== Accelerator scaling: cycles, throughput and checker "
                "share ==\n"

@@ -41,6 +41,7 @@ MatrixD run_stack(const EncoderLayer& l1, const EncoderLayer& l2,
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::size_t seq_len = std::size_t(args.get_int("seq-len", 48));
+  if (!all_flags_known(args)) return 2;
 
   const ModelPreset& bert = preset_by_name("bert");
   EncoderLayerConfig lcfg;

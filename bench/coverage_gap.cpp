@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const std::size_t seq_len = std::size_t(args.get_int("seq-len", 256));
   const std::string model = args.get_string("model", "bert");
   const std::uint64_t seed = std::uint64_t(args.get_int("seed", 4242));
+  if (!all_flags_known(args)) return 2;
 
   const ModelPreset& preset = preset_by_name(model);
   std::cout << "== Coverage-gap ablation: shared (Eq. 10) vs independent "

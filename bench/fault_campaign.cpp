@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
   const std::vector<DType> dtypes =
       args.has("dtype") ? common->dtype_sweep
                         : std::vector<DType>{DType::kF32, DType::kBf16};
+  if (!all_flags_known(args)) return 2;
 
   std::cout << "serving fault campaign: " << cfg.trials_per_cell
             << " trials/cell over " << cfg.sessions << " sessions, seed "

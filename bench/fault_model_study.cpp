@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const std::size_t seq_len = std::size_t(args.get_int("seq-len", 256));
   const std::string model = args.get_string("model", "llama-3.1");
   const std::uint64_t seed = std::uint64_t(args.get_int("seed", 60601));
+  if (!all_flags_known(args)) return 2;
 
   const ModelPreset& preset = preset_by_name(model);
   const TableOneSetup setup = make_table1_setup(preset, seq_len, 16, seed);

@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::size_t d = std::size_t(args.get_int("head-dim", 128));
   const std::uint64_t seed = std::uint64_t(args.get_int("seed", 404));
+  if (!all_flags_known(args)) return 2;
 
   std::cout << "== Fig. 4: hardware area & power with online fault "
                "detection (28nm, 500 MHz, d=" << d << ") ==\n"

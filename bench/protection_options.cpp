@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const std::size_t d = std::size_t(args.get_int("head-dim", 128));
   const std::size_t lanes = std::size_t(args.get_int("lanes", 16));
   const std::size_t seq_len = std::size_t(args.get_int("seq-len", 256));
+  if (!all_flags_known(args)) return 2;
 
   std::cout << "== Protection packages: " << lanes << " lanes, d=" << d
             << ", N=" << seq_len << " (28nm model) ==\n\n";

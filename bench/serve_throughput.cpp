@@ -325,9 +325,9 @@ void write_json(const std::string& path,
         << "      \"ok\": " << (s.ok ? "true" : "false") << ",\n"
         << "      \"requests\": " << s.report.completed << ",\n"
         << "      \"throughput_rps\": " << s.report.throughput_rps << ",\n"
-        << "      \"p50_us\": " << t.total_p50_us << ",\n"
-        << "      \"p95_us\": " << t.total_p95_us << ",\n"
-        << "      \"p99_us\": " << t.total_p99_us << ",\n"
+        << "      \"p50_us\": " << percentile_us(t.latency_ns, 0.50) << ",\n"
+        << "      \"p95_us\": " << percentile_us(t.latency_ns, 0.95) << ",\n"
+        << "      \"p99_us\": " << percentile_us(t.latency_ns, 0.99) << ",\n"
         << "      \"alarm_events\": " << t.alarm_events << ",\n"
         << "      \"op_executions\": " << t.op_executions << ",\n"
         << "      \"recovered\": " << t.recovered << ",\n"
@@ -342,8 +342,10 @@ void write_json(const std::string& path,
         << ",\n"
         << "      \"tokens_per_sec\": " << s.report.tokens_per_second
         << ",\n"
-        << "      \"ttft_p50_us\": " << t.ttft_p50_us << ",\n"
-        << "      \"ttft_p99_us\": " << t.ttft_p99_us << ",\n"
+        << "      \"ttft_p50_us\": " << percentile_us(t.ttft_ns, 0.50)
+        << ",\n"
+        << "      \"ttft_p99_us\": " << percentile_us(t.ttft_ns, 0.99)
+        << ",\n"
         << "      \"sessions_parked\": " << t.sessions_parked << ",\n"
         << "      \"prefix_hits\": " << t.prefix_hits << ",\n"
         << "      \"prefix_misses\": " << t.prefix_misses << ",\n"
@@ -359,10 +361,10 @@ void write_json(const std::string& path,
         << "      \"shared_heals\": " << t.shared_heals << ",\n"
         << "      \"prefix_cached_responses\": "
         << s.report.prefix_cached_responses << ",\n"
-        << "      \"cached_ttft_p50_us\": " << s.report.cached_ttft_p50_us
-        << ",\n"
+        << "      \"cached_ttft_p50_us\": "
+        << percentile_us(s.report.cached_ttft_ns, 0.5) << ",\n"
         << "      \"uncached_ttft_p50_us\": "
-        << s.report.uncached_ttft_p50_us << ",\n"
+        << percentile_us(s.report.uncached_ttft_ns, 0.5) << ",\n"
         << "      \"batch_occupancy\": " << t.batch_occupancy() << ",\n"
         << "      \"preemptions\": " << t.preemptions << ",\n"
         << "      \"session_resumes\": " << t.session_resumes << ",\n"
@@ -441,6 +443,7 @@ int main(int argc, char** argv) {
   const double persistent_frac = args.get_double("persistent-frac", 0.2);
   const std::string json_path = args.get_string("json", "");
   const std::string prom_path = args.get_string("prom", "");
+  if (!all_flags_known(args)) return 2;
   const std::size_t max_sessions = common->max_sessions;
   const std::uint64_t seed = common->seed;
 
@@ -566,20 +569,20 @@ int main(int argc, char** argv) {
     t.add_row({"requests", format_number(double(report.completed), 0)});
     t.add_row({"throughput (req/s)",
                format_number(report.throughput_rps, 1)});
+    const obs::LogHistogram& latency = report.telemetry.latency_ns;
     t.add_row({"p50 latency (us)",
-               format_number(report.telemetry.total_p50_us, 1)});
+               format_number(percentile_us(latency, 0.50), 1)});
     t.add_row({"p95 latency (us)",
-               format_number(report.telemetry.total_p95_us, 1)});
+               format_number(percentile_us(latency, 0.95), 1)});
     t.add_row({"p99 latency (us)",
-               format_number(report.telemetry.total_p99_us, 1)});
+               format_number(percentile_us(latency, 0.99), 1)});
     if (generate_mode) {
       t.add_row({"tokens generated",
                  format_number(double(report.tokens_generated), 0)});
       t.add_row({"tokens/sec", format_number(report.tokens_per_second, 1)});
-      t.add_row({"ttft p50 (us)",
-                 format_number(report.telemetry.ttft_p50_us, 1)});
-      t.add_row({"ttft p99 (us)",
-                 format_number(report.telemetry.ttft_p99_us, 1)});
+      const obs::LogHistogram& ttft = report.telemetry.ttft_ns;
+      t.add_row({"ttft p50 (us)", format_number(percentile_us(ttft, 0.50), 1)});
+      t.add_row({"ttft p99 (us)", format_number(percentile_us(ttft, 0.99), 1)});
       t.add_row({"sessions parked",
                  format_number(double(report.telemetry.sessions_parked), 0)});
     }
@@ -600,9 +603,10 @@ int main(int argc, char** argv) {
                  format_number(double(tel.prefix_cow_forks), 0) + " / " +
                      format_number(double(tel.prefix_evictions), 0)});
       t.add_row({"cached ttft p50 (us)",
-                 format_number(report.cached_ttft_p50_us, 1)});
-      t.add_row({"uncached ttft p50 (us)",
-                 format_number(report.uncached_ttft_p50_us, 1)});
+                 format_number(percentile_us(report.cached_ttft_ns, 0.5), 1)});
+      t.add_row(
+          {"uncached ttft p50 (us)",
+           format_number(percentile_us(report.uncached_ttft_ns, 0.5), 1)});
     }
     if (generate_mode) {
       t.add_row({"scheduler ticks",
@@ -795,19 +799,17 @@ int main(int argc, char** argv) {
       if (s.name.find("cold") != std::string::npos) cold = &s;
       if (s.name.find("cached") != std::string::npos) cached = &s;
     }
-    if (cold != nullptr && cached != nullptr &&
-        cold->report.telemetry.ttft_p50_us > 0.0 &&
-        cached->report.cached_ttft_p50_us > 0.0 &&
+    if (cold == nullptr || cached == nullptr) continue;
+    const double cold_ttft = percentile_us(cold->report.telemetry.ttft_ns, 0.5);
+    const double cached_ttft =
+        percentile_us(cached->report.cached_ttft_ns, 0.5);
+    if (cold_ttft > 0.0 && cached_ttft > 0.0 &&
         cold->report.tokens_per_second > 0.0) {
       std::cout << "prefix cached vs cold ttft p50 ("
                 << backend_name(compute) << "): "
-                << format_number(cached->report.cached_ttft_p50_us, 1)
-                << " vs "
-                << format_number(cold->report.telemetry.ttft_p50_us, 1)
-                << " us = "
-                << format_number(cold->report.telemetry.ttft_p50_us /
-                                     cached->report.cached_ttft_p50_us,
-                                 2)
+                << format_number(cached_ttft, 1) << " vs "
+                << format_number(cold_ttft, 1) << " us = "
+                << format_number(cold_ttft / cached_ttft, 2)
                 << "x faster; tokens/sec "
                 << format_number(cached->report.tokens_per_second, 1)
                 << " vs "

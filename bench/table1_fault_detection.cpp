@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const std::size_t seq_len = std::size_t(args.get_int("seq-len", 256));
   const std::size_t lanes = std::size_t(args.get_int("lanes", 16));
   const std::uint64_t seed = std::uint64_t(args.get_int("seed", 20250722));
+  if (!all_flags_known(args)) return 2;
 
   std::cout << "== Table I: fault detection accuracy, single injected fault ==\n"
             << "sequence length " << seq_len << ", " << lanes

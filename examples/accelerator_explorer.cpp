@@ -40,6 +40,14 @@ int main(int argc, char** argv) {
   const std::size_t lanes = std::size_t(args.get_int("lanes", 16));
   const std::size_t d = std::size_t(args.get_int("head-dim", 128));
   const std::size_t n = std::size_t(args.get_int("seq-len", 256));
+  // The fault to inject (defaults: output register, exponent bit).
+  InjectedFault fault;
+  fault.site.kind = site_from_name(args.get_string("fault-site", "output"));
+  fault.site.lane = std::size_t(args.get_int("fault-lane", 3));
+  fault.site.element = std::size_t(args.get_int("fault-element", 5));
+  fault.bit = int(args.get_int("fault-bit", 28));
+  fault.cycle = std::size_t(args.get_int("fault-cycle", 1000));
+  if (!all_flags_known(args)) return 2;
 
   AccelConfig cfg;
   cfg.lanes = lanes;
@@ -79,14 +87,7 @@ int main(int argc, char** argv) {
             << (golden.alarm(cfg.compare_granularity) ? "YES" : "no")
             << "\n\n";
 
-  // Inject the requested fault (defaults: output register, exponent bit).
-  InjectedFault fault;
-  fault.site.kind = site_from_name(args.get_string("fault-site", "output"));
-  fault.site.lane = std::size_t(args.get_int("fault-lane", 3));
-  fault.site.element = std::size_t(args.get_int("fault-element", 5));
-  fault.bit = int(args.get_int("fault-bit", 28));
-  fault.cycle = std::size_t(args.get_int("fault-cycle", 1000));
-
+  // Inject the requested fault.
   const AccelRunResult faulty =
       accel.replay_with_faults(w.q, w.k, w.v, golden, {fault});
   const double deviation = max_abs_diff(faulty.output, golden.output);

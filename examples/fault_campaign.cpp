@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const std::string type_name = args.get_string("type", "flip");
   const std::size_t duration = std::size_t(args.get_int("duration", 1));
   const std::uint64_t seed = std::uint64_t(args.get_int("seed", 123));
+  if (!all_flags_known(args)) return 2;
 
   FaultType fault_type = FaultType::kBitFlip;
   if (type_name == "stuck0") {

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
 
   const CliArgs args(argc, argv);
   const std::size_t seq_len = std::size_t(args.get_int("seq-len", 64));
+  if (!all_flags_known(args)) return 2;
 
   // A BERT-base-shaped encoder layer: 12 heads x 64 = 768.
   const ModelPreset& bert = preset_by_name("bert");

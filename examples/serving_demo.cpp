@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
   const std::size_t threads = common->threads;
   const std::size_t max_batch = common->max_batch;
   const bool inject_faults = args.get_bool("inject-faults", true);
+  if (!all_flags_known(args)) return 2;
   const std::uint64_t seed = 21;
   const std::size_t heads = 2;
   const std::size_t seq_cap = 32;

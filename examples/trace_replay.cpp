@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::size_t campaigns = std::size_t(args.get_int("campaigns", 1000));
   const std::size_t lanes = std::size_t(args.get_int("lanes", 16));
+  if (!all_flags_known(args)) return 2;
 
   std::string path;
   if (!args.positional().empty()) {

@@ -1,6 +1,8 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 #include "common/ensure.hpp"
@@ -26,23 +28,33 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& name) const {
-  return flags_.count(name) != 0;
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get_string(const std::string& name,
                                 const std::string& fallback) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  FLASHABFT_ENSURE_MSG(!it->second.empty(), "flag --" << name
-                                                      << " expects a value");
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t parsed = std::strtoll(value->c_str(), &end, 10);
+  FLASHABFT_ENSURE_MSG(!value->empty() && *end == '\0' && errno != ERANGE,
+                       "flag --" << name << " expects an integer, got '"
+                                 << *value << "'");
+  return parsed;
 }
 
 std::size_t CliArgs::get_size(const std::string& name,
@@ -56,22 +68,42 @@ std::size_t CliArgs::get_size(const std::string& name,
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  FLASHABFT_ENSURE_MSG(!it->second.empty(), "flag --" << name
-                                                      << " expects a value");
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value->c_str(), &end);
+  FLASHABFT_ENSURE_MSG(!value->empty() && *end == '\0' && errno != ERANGE,
+                       "flag --" << name << " expects a number, got '"
+                                 << *value << "'");
+  return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  if (it->second.empty() || it->second == "true" || it->second == "1") {
-    return true;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  if (value->empty() || *value == "true" || *value == "1") return true;
+  if (*value == "false" || *value == "0") return false;
+  throw EnsureError("flag --" + name + " expects a boolean, got '" + *value +
+                    "'");
+}
+
+void CliArgs::reject_unknown() const {
+  std::string unknown;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) == 0) unknown += " --" + name;
   }
-  if (it->second == "false" || it->second == "0") return false;
-  throw EnsureError("flag --" + name + " expects a boolean, got '" +
-                    it->second + "'");
+  if (!unknown.empty()) throw EnsureError("unknown flag(s):" + unknown);
+}
+
+bool all_flags_known(const CliArgs& args) {
+  try {
+    args.reject_unknown();
+    return true;
+  } catch (const EnsureError& e) {
+    std::cerr << e.what() << '\n';
+    return false;
+  }
 }
 
 }  // namespace flashabft

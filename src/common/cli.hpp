@@ -2,11 +2,14 @@
 //
 // Supports `--name=value` and `--name value` forms plus boolean switches.
 // The bench harnesses must run with no arguments (defaults reproduce the
-// paper's setup), so parsing failures throw rather than prompting.
+// paper's setup), so parsing failures throw rather than prompting: a value
+// that does not parse whole, and (via reject_unknown) a flag the binary
+// never read.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,9 +39,22 @@ class CliArgs {
     return positional_;
   }
 
+  /// Throws EnsureError naming every flag that no has()/get_*() call has
+  /// read, so a misspelt or retired flag fails instead of silently running
+  /// the defaults. Call once every flag the binary takes has been read.
+  void reject_unknown() const;
+
  private:
+  /// The value of `--name`, or nullptr when absent; marks `name` read.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
+
+/// reject_unknown() for a binary's main: prints the error to stderr and
+/// returns false, so main exits with a usage error instead of aborting.
+[[nodiscard]] bool all_flags_known(const CliArgs& args);
 
 }  // namespace flashabft

@@ -28,41 +28,19 @@ void OpTimingSnapshot::merge(const OpTimingSnapshot& other) {
   }
 }
 
-void OpTimingProfiler::record(OpKind kind, GuardPhase phase,
-                              std::uint64_t ns) {
-  Cell& cell = cells_[std::size_t(kind)][std::size_t(phase)];
-  cell.buckets[LogHistogram::bucket_of(ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  cell.total.fetch_add(ns, std::memory_order_relaxed);
-}
-
 OpTimingSnapshot OpTimingProfiler::snapshot() const {
   OpTimingSnapshot out;
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     for (std::size_t p = 0; p < kGuardPhaseCount; ++p) {
-      const Cell& cell = cells_[k][p];
-      LogHistogram& hist = out.cells[k][p];
-      for (std::size_t b = 0; b < LogHistogram::kBuckets; ++b) {
-        hist.buckets[b] = cell.buckets[b].load(std::memory_order_relaxed);
-      }
-      hist.count = cell.count.load(std::memory_order_relaxed);
-      hist.total = cell.total.load(std::memory_order_relaxed);
+      out.cells[k][p] = cells_[k][p].snapshot();
     }
   }
   return out;
 }
 
 void OpTimingProfiler::clear() {
-  for (std::size_t k = 0; k < kOpKindCount; ++k) {
-    for (std::size_t p = 0; p < kGuardPhaseCount; ++p) {
-      Cell& cell = cells_[k][p];
-      for (std::size_t b = 0; b < LogHistogram::kBuckets; ++b) {
-        cell.buckets[b].store(0, std::memory_order_relaxed);
-      }
-      cell.count.store(0, std::memory_order_relaxed);
-      cell.total.store(0, std::memory_order_relaxed);
-    }
+  for (auto& row : cells_) {
+    for (AtomicHistogram& cell : row) cell.clear();
   }
 }
 

@@ -4,16 +4,15 @@
 //   compute  — the checked kernel's own execution (attempt 0),
 //   verify   — the checksum comparison / extreme-value screen,
 //   recovery — retries after an alarm plus any fallback execution.
-// The profiler keeps one log-bucketed histogram (obs/histogram.hpp) per
-// (OpKind, phase) cell, recorded with relaxed atomics so concurrent worker
-// threads and scheduler sweeps share one profiler without locks. A snapshot
-// materializes plain mergeable histograms; the ratio of verify+recovery time
-// to compute time is the "ABFT overhead" number the telemetry snapshot,
-// serve_throughput JSON and Prometheus exposition all surface — the same
-// quantity ATTNChecker/ALBERTA report for their protected attention stacks.
+// The profiler keeps one lock-free AtomicHistogram (obs/histogram.hpp) per
+// (OpKind, phase) cell, so concurrent worker threads and scheduler sweeps
+// share one profiler without locks. A snapshot materializes plain mergeable
+// histograms; the ratio of verify+recovery time to compute time is the
+// "ABFT overhead" number the telemetry snapshot, serve_throughput JSON and
+// Prometheus exposition all surface — the same quantity ATTNChecker/ALBERTA
+// report for their protected attention stacks.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -65,12 +64,10 @@ struct OpTimingSnapshot {
 
 class OpTimingProfiler {
  public:
-  OpTimingProfiler() = default;
-  OpTimingProfiler(const OpTimingProfiler&) = delete;
-  OpTimingProfiler& operator=(const OpTimingProfiler&) = delete;
-
   /// Lock-free; safe from any thread. `ns` is the phase's wall duration.
-  void record(OpKind kind, GuardPhase phase, std::uint64_t ns);
+  void record(OpKind kind, GuardPhase phase, std::uint64_t ns) {
+    cells_[std::size_t(kind)][std::size_t(phase)].record(ns);
+  }
 
   /// Coherent-enough copy for reporting: each counter is read atomically;
   /// cross-counter skew is bounded by whatever is still in flight.
@@ -79,12 +76,7 @@ class OpTimingProfiler {
   void clear();
 
  private:
-  struct Cell {
-    std::atomic<std::uint64_t> buckets[LogHistogram::kBuckets]{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> total{0};
-  };
-  Cell cells_[kOpKindCount][kGuardPhaseCount];
+  AtomicHistogram cells_[kOpKindCount][kGuardPhaseCount];
 };
 
 }  // namespace flashabft::obs

@@ -262,7 +262,6 @@ LoadReport run_load(InferenceServer& server, const LoadDriverConfig& config) {
   Rng inject_rng = base.derive(0xFA117);
 
   LoadReport report;
-  std::vector<double> cached_ttfts, uncached_ttfts;
   const auto absorb = [&](const ServeResponse& response) {
     ++report.completed;
     if (response.checksum_clean) ++report.clean_responses;
@@ -271,9 +270,9 @@ LoadReport run_load(InferenceServer& server, const LoadDriverConfig& config) {
       if (response.prefix_cached_tokens > 0) {
         ++report.prefix_cached_responses;
         report.prefix_cached_tokens += response.prefix_cached_tokens;
-        cached_ttfts.push_back(response.ttft_us);
+        report.cached_ttft_ns.add(ns_from_us(response.ttft_us));
       } else {
-        uncached_ttfts.push_back(response.ttft_us);
+        report.uncached_ttft_ns.add(ns_from_us(response.ttft_us));
       }
     }
     switch (response.path) {
@@ -377,13 +376,6 @@ LoadReport run_load(InferenceServer& server, const LoadDriverConfig& config) {
       report.wall_seconds > 0.0
           ? double(report.tokens_generated) / report.wall_seconds
           : 0.0;
-  const auto median = [](std::vector<double>& v) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  report.cached_ttft_p50_us = median(cached_ttfts);
-  report.uncached_ttft_p50_us = median(uncached_ttfts);
   report.telemetry = server.telemetry().snapshot();
   return report;
 }

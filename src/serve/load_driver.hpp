@@ -112,8 +112,8 @@ struct LoadReport {
   /// ratio is the benchmark's headline number.
   std::size_t prefix_cached_responses = 0;
   std::size_t prefix_cached_tokens = 0;
-  double cached_ttft_p50_us = 0.0;      ///< over cache-hit sessions only.
-  double uncached_ttft_p50_us = 0.0;    ///< over cache-miss sessions only.
+  obs::LogHistogram cached_ttft_ns;     ///< over cache-hit sessions only.
+  obs::LogHistogram uncached_ttft_ns;   ///< over cache-miss sessions only.
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;
   double tokens_per_second = 0.0;       ///< generation mode only.

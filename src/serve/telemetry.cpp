@@ -1,171 +1,114 @@
 #include "serve/telemetry.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/table.hpp"
 
 namespace flashabft::serve {
 
-double percentile(std::span<const double> sorted_samples, double p) {
-  if (sorted_samples.empty()) return 0.0;
-  if (sorted_samples.size() == 1) return sorted_samples[0];
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  const double rank = clamped * double(sorted_samples.size() - 1);
-  const std::size_t lo = std::size_t(std::floor(rank));
-  const std::size_t hi = std::min(lo + 1, sorted_samples.size() - 1);
-  const double frac = rank - double(lo);
-  return sorted_samples[lo] * (1.0 - frac) + sorted_samples[hi] * frac;
-}
-
-void LatencyReservoir::record(double sample_us, Rng& rng) {
-  ++seen_;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(sample_us);
-    return;
-  }
-  const std::uint64_t slot = rng.next_below(seen_);
-  if (slot < capacity_) samples_[std::size_t(slot)] = sample_us;
-}
-
 void ServeTelemetry::on_response(const ServeResponse& response) {
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  bump(completed_);
   switch (response.path) {
-    case ServePath::kGuardedClean:
-      clean_first_try_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ServePath::kGuardedRecovered:
-      recovered_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ServePath::kFallbackReference:
-      fallback_.fetch_add(1, std::memory_order_relaxed);
-      break;
+    case ServePath::kGuardedClean: bump(clean_first_try_); break;
+    case ServePath::kGuardedRecovered: bump(recovered_); break;
+    case ServePath::kFallbackReference: bump(fallback_); break;
   }
-  alarm_events_.fetch_add(response.alarm_events, std::memory_order_relaxed);
-  op_executions_.fetch_add(response.op_executions,
-                           std::memory_order_relaxed);
-  fallback_ops_.fetch_add(response.fallback_ops, std::memory_order_relaxed);
-  meta_verifies_.fetch_add(response.meta_verifies,
-                           std::memory_order_relaxed);
-  dmr_compares_.fetch_add(response.dmr_compares, std::memory_order_relaxed);
-  dmr_mismatches_.fetch_add(response.dmr_mismatches,
-                            std::memory_order_relaxed);
-  (response.checksum_clean ? checksum_clean_ : checksum_dirty_)
-      .fetch_add(1, std::memory_order_relaxed);
+  bump(alarm_events_, response.alarm_events);
+  bump(op_executions_, response.op_executions);
+  bump(fallback_ops_, response.fallback_ops);
+  bump(meta_verifies_, response.meta_verifies);
+  bump(dmr_compares_, response.dmr_compares);
+  bump(dmr_mismatches_, response.dmr_mismatches);
+  bump(response.checksum_clean ? checksum_clean_ : checksum_dirty_);
 
   // Per-op-kind accounting from the unified report stream. Escalations are
   // attributed to the escalating op's kind; the fallback op that replaced
   // it reports separately under kReferenceFallback.
   for (const OpReport& report : response.reports) {
     const std::size_t kind = std::size_t(report.kind);
-    kind_checks_[kind].fetch_add(1, std::memory_order_relaxed);
-    kind_alarms_[kind].fetch_add(report.alarms, std::memory_order_relaxed);
+    bump(kind_checks_[kind]);
+    bump(kind_alarms_[kind], report.alarms);
     if (report.recovery == RecoveryStatus::kRecovered) {
-      kind_recovered_[kind].fetch_add(1, std::memory_order_relaxed);
+      bump(kind_recovered_[kind]);
     }
     if (report.recovery == RecoveryStatus::kEscalated &&
         report.kind != OpKind::kReferenceFallback) {
-      kind_escalated_[kind].fetch_add(1, std::memory_order_relaxed);
+      bump(kind_escalated_[kind]);
     }
   }
 
-  std::lock_guard lock(latency_mutex_);
-  queue_us_.record(response.queue_us, reservoir_rng_);
-  service_us_.record(response.service_us, reservoir_rng_);
-  total_us_.record(response.total_us, reservoir_rng_);
+  queue_ns_.record(ns_from_us(response.queue_us));
+  service_ns_.record(ns_from_us(response.service_us));
+  latency_ns_.record(ns_from_us(response.total_us));
 }
 
 void ServeTelemetry::on_session_complete(const ServeResponse& response) {
-  sessions_completed_.fetch_add(1, std::memory_order_relaxed);
-  tokens_generated_.fetch_add(response.tokens.size(),
-                              std::memory_order_relaxed);
-  decode_steps_.fetch_add(response.decode_steps, std::memory_order_relaxed);
-  std::lock_guard lock(latency_mutex_);
-  ttft_us_.record(response.ttft_us, reservoir_rng_);
+  bump(sessions_completed_);
+  bump(tokens_generated_, response.tokens.size());
+  bump(decode_steps_, response.decode_steps);
+  ttft_ns_.record(ns_from_us(response.ttft_us));
 }
 
 TelemetrySnapshot ServeTelemetry::snapshot() const {
+  const auto load = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
   TelemetrySnapshot s;
   s.compute = compute_.load(std::memory_order_relaxed);
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.clean_first_try = clean_first_try_.load(std::memory_order_relaxed);
-  s.recovered = recovered_.load(std::memory_order_relaxed);
-  s.fallback = fallback_.load(std::memory_order_relaxed);
-  s.escalations = escalations_.load(std::memory_order_relaxed);
-  s.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
-  s.breaker_bypasses = breaker_bypasses_.load(std::memory_order_relaxed);
-  s.alarm_events = alarm_events_.load(std::memory_order_relaxed);
-  s.op_executions = op_executions_.load(std::memory_order_relaxed);
-  s.fallback_ops = fallback_ops_.load(std::memory_order_relaxed);
-  s.checksum_clean = checksum_clean_.load(std::memory_order_relaxed);
-  s.checksum_dirty = checksum_dirty_.load(std::memory_order_relaxed);
-  s.sessions_started = sessions_started_.load(std::memory_order_relaxed);
-  s.sessions_completed =
-      sessions_completed_.load(std::memory_order_relaxed);
-  s.sessions_parked = sessions_parked_.load(std::memory_order_relaxed);
-  s.tokens_generated = tokens_generated_.load(std::memory_order_relaxed);
-  s.decode_steps = decode_steps_.load(std::memory_order_relaxed);
-  s.scheduler_ticks = scheduler_ticks_.load(std::memory_order_relaxed);
-  s.scheduled_steps = scheduled_steps_.load(std::memory_order_relaxed);
-  s.preemptions = preemptions_.load(std::memory_order_relaxed);
-  s.session_resumes = session_resumes_.load(std::memory_order_relaxed);
-  s.pages_in_use = pages_in_use_.load(std::memory_order_relaxed);
-  s.pages_total = pages_total_.load(std::memory_order_relaxed);
-  s.peak_pages_in_use = peak_pages_in_use_.load(std::memory_order_relaxed);
-  s.prefix_hits = prefix_hits_.load(std::memory_order_relaxed);
-  s.prefix_misses = prefix_misses_.load(std::memory_order_relaxed);
-  s.prefix_hit_tokens = prefix_hit_tokens_.load(std::memory_order_relaxed);
-  s.prefix_cow_forks = prefix_cow_forks_.load(std::memory_order_relaxed);
-  s.prefix_evictions = prefix_evictions_.load(std::memory_order_relaxed);
-  s.shared_heals = shared_heals_.load(std::memory_order_relaxed);
-  s.shared_pages = shared_pages_.load(std::memory_order_relaxed);
-  s.evictable_pages = evictable_pages_.load(std::memory_order_relaxed);
-  s.meta_verifies = meta_verifies_.load(std::memory_order_relaxed);
-  s.scrub_passes = scrub_passes_.load(std::memory_order_relaxed);
-  s.scrub_items = scrub_items_.load(std::memory_order_relaxed);
-  s.scrub_faults_found =
-      scrub_faults_found_.load(std::memory_order_relaxed);
-  s.scrub_repairs = scrub_repairs_.load(std::memory_order_relaxed);
-  s.scrub_unrepairable =
-      scrub_unrepairable_.load(std::memory_order_relaxed);
-  s.dmr_compares = dmr_compares_.load(std::memory_order_relaxed);
-  s.dmr_mismatches = dmr_mismatches_.load(std::memory_order_relaxed);
+  s.submitted = load(submitted_);
+  s.rejected = load(rejected_);
+  s.completed = load(completed_);
+  s.batches = load(batches_);
+  s.clean_first_try = load(clean_first_try_);
+  s.recovered = load(recovered_);
+  s.fallback = load(fallback_);
+  s.escalations = load(escalations_);
+  s.breaker_trips = load(breaker_trips_);
+  s.breaker_bypasses = load(breaker_bypasses_);
+  s.alarm_events = load(alarm_events_);
+  s.op_executions = load(op_executions_);
+  s.fallback_ops = load(fallback_ops_);
+  s.checksum_clean = load(checksum_clean_);
+  s.checksum_dirty = load(checksum_dirty_);
+  s.sessions_started = load(sessions_started_);
+  s.sessions_completed = load(sessions_completed_);
+  s.sessions_parked = load(sessions_parked_);
+  s.tokens_generated = load(tokens_generated_);
+  s.decode_steps = load(decode_steps_);
+  s.scheduler_ticks = load(scheduler_ticks_);
+  s.scheduled_steps = load(scheduled_steps_);
+  s.preemptions = load(preemptions_);
+  s.session_resumes = load(session_resumes_);
+  s.pages_in_use = load(pages_in_use_);
+  s.pages_total = load(pages_total_);
+  s.peak_pages_in_use = load(peak_pages_in_use_);
+  s.prefix_hits = load(prefix_hits_);
+  s.prefix_misses = load(prefix_misses_);
+  s.prefix_hit_tokens = load(prefix_hit_tokens_);
+  s.prefix_cow_forks = load(prefix_cow_forks_);
+  s.prefix_evictions = load(prefix_evictions_);
+  s.shared_heals = load(shared_heals_);
+  s.shared_pages = load(shared_pages_);
+  s.evictable_pages = load(evictable_pages_);
+  s.meta_verifies = load(meta_verifies_);
+  s.scrub_passes = load(scrub_passes_);
+  s.scrub_items = load(scrub_items_);
+  s.scrub_faults_found = load(scrub_faults_found_);
+  s.scrub_repairs = load(scrub_repairs_);
+  s.scrub_unrepairable = load(scrub_unrepairable_);
+  s.dmr_compares = load(dmr_compares_);
+  s.dmr_mismatches = load(dmr_mismatches_);
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
-    s.per_kind[k].checks = kind_checks_[k].load(std::memory_order_relaxed);
-    s.per_kind[k].alarms = kind_alarms_[k].load(std::memory_order_relaxed);
-    s.per_kind[k].recovered =
-        kind_recovered_[k].load(std::memory_order_relaxed);
-    s.per_kind[k].escalated =
-        kind_escalated_[k].load(std::memory_order_relaxed);
+    s.per_kind[k].checks = load(kind_checks_[k]);
+    s.per_kind[k].alarms = load(kind_alarms_[k]);
+    s.per_kind[k].recovered = load(kind_recovered_[k]);
+    s.per_kind[k].escalated = load(kind_escalated_[k]);
   }
   s.timing = op_profiler_.snapshot();
-
-  std::vector<double> queue_us, service_us, total_us, ttft_us;
-  {
-    std::lock_guard lock(latency_mutex_);
-    queue_us = queue_us_.samples();
-    service_us = service_us_.samples();
-    total_us = total_us_.samples();
-    ttft_us = ttft_us_.samples();
-  }
-  std::sort(queue_us.begin(), queue_us.end());
-  std::sort(service_us.begin(), service_us.end());
-  std::sort(total_us.begin(), total_us.end());
-  std::sort(ttft_us.begin(), ttft_us.end());
-  s.queue_p50_us = percentile(queue_us, 0.50);
-  s.queue_p99_us = percentile(queue_us, 0.99);
-  s.service_p50_us = percentile(service_us, 0.50);
-  s.service_p99_us = percentile(service_us, 0.99);
-  s.total_p50_us = percentile(total_us, 0.50);
-  s.total_p95_us = percentile(total_us, 0.95);
-  s.total_p99_us = percentile(total_us, 0.99);
-  s.total_max_us = total_us.empty() ? 0.0 : total_us.back();
-  s.ttft_p50_us = percentile(ttft_us, 0.50);
-  s.ttft_p99_us = percentile(ttft_us, 0.99);
+  s.queue_ns = queue_ns_.snapshot();
+  s.service_ns = service_ns_.snapshot();
+  s.latency_ns = latency_ns_.snapshot();
+  s.ttft_ns = ttft_ns_.snapshot();
   return s;
 }
 
@@ -209,8 +152,8 @@ std::string TelemetrySnapshot::render(double wall_seconds) const {
     if (wall_seconds > 0.0) {
       row("tokens/sec", tokens_per_second(wall_seconds));
     }
-    row("ttft p50 (us)", ttft_p50_us);
-    row("ttft p99 (us)", ttft_p99_us);
+    row("ttft p50 (us)", percentile_us(ttft_ns, 0.50));
+    row("ttft p99 (us)", percentile_us(ttft_ns, 0.99));
   }
   if (scheduler_ticks > 0) {
     row("scheduler ticks", double(scheduler_ticks), 0);
@@ -257,6 +200,9 @@ std::string TelemetrySnapshot::render(double wall_seconds) const {
   // ABFT overhead: where guarded execution's time went, per kind. The
   // percentage is verify+recovery over compute — the cost the protection
   // regime adds on top of the op it protects.
+  const auto ms = [](std::uint64_t ns) {
+    return format_number(double(ns) * 1e-6, 2) + " ms ";
+  };
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     const OpKind kind = OpKind(k);
     if (timing.of(kind, obs::GuardPhase::kCompute).count == 0 &&
@@ -264,32 +210,29 @@ std::string TelemetrySnapshot::render(double wall_seconds) const {
       continue;
     }
     const std::string value =
-        format_number(double(timing.compute_ns(kind)) * 1e-6, 2) +
-        " ms compute, " +
-        format_number(
-            double(timing.of(kind, obs::GuardPhase::kVerify).total) * 1e-6,
-            2) +
-        " ms verify, " +
-        format_number(
-            double(timing.of(kind, obs::GuardPhase::kRecovery).total) * 1e-6,
-            2) +
-        " ms recovery (" + format_number(timing.overhead_pct(kind), 2) +
+        ms(timing.compute_ns(kind)) + "compute, " +
+        ms(timing.of(kind, obs::GuardPhase::kVerify).total) + "verify, " +
+        ms(timing.of(kind, obs::GuardPhase::kRecovery).total) +
+        "recovery (" + format_number(timing.overhead_pct(kind), 2) +
         "% overhead)";
     t.add_row({std::string("abft[") + op_kind_name(kind) + "]", value});
   }
-  row("queue p50 (us)", queue_p50_us);
-  row("queue p99 (us)", queue_p99_us);
-  row("service p50 (us)", service_p50_us);
-  row("service p99 (us)", service_p99_us);
-  row("total p50 (us)", total_p50_us);
-  row("total p95 (us)", total_p95_us);
-  row("total p99 (us)", total_p99_us);
-  row("total max (us)", total_max_us);
+  row("queue p50 (us)", percentile_us(queue_ns, 0.50));
+  row("queue p99 (us)", percentile_us(queue_ns, 0.99));
+  row("service p50 (us)", percentile_us(service_ns, 0.50));
+  row("service p99 (us)", percentile_us(service_ns, 0.99));
+  row("total p50 (us)", percentile_us(latency_ns, 0.50));
+  row("total p95 (us)", percentile_us(latency_ns, 0.95));
+  row("total p99 (us)", percentile_us(latency_ns, 0.99));
+  row("total max (us)", double(latency_ns.max) * 1e-3);
   return t.render();
 }
 
 std::string TelemetrySnapshot::prometheus_text(double wall_seconds) const {
   std::ostringstream out;
+  // 15 significant digits: distinct bucket edges and seconds sums that
+  // read back as the nanosecond totals they scale.
+  out.precision(15);
   const auto counter = [&out](const char* name, std::uint64_t value,
                               const char* help) {
     out << "# HELP flashabft_" << name << " " << help << "\n"
@@ -349,8 +292,8 @@ std::string TelemetrySnapshot::prometheus_text(double wall_seconds) const {
   }
 
   // Guard-phase timing: the ABFT overhead attribution as cumulative
-  // histograms (bucket edges in seconds — the log-bucketed ns histograms
-  // scaled by 1e-9), one series per active (kind, phase) cell.
+  // histograms (`le` = a non-empty bucket's inclusive upper edge, ns scaled
+  // by 1e-9), one series per active (kind, phase) cell.
   out << "# HELP flashabft_guard_phase_seconds_total guarded execution time "
          "split into compute/verify/recovery, by op kind\n"
       << "# TYPE flashabft_guard_phase_seconds_total counter\n";
@@ -380,7 +323,7 @@ std::string TelemetrySnapshot::prometheus_text(double wall_seconds) const {
         if (h.buckets[b] == 0) continue;  // elide empty leading/inner edges.
         cumulative += h.buckets[b];
         out << "flashabft_guard_phase_duration_seconds_bucket{" << labels
-            << ",le=\"" << double(obs::LogHistogram::bucket_ceiling(b)) * 1e-9
+            << ",le=\"" << double(obs::LogHistogram::bucket_max(b)) * 1e-9
             << "\"} " << cumulative << "\n";
       }
       out << "flashabft_guard_phase_duration_seconds_bucket{" << labels

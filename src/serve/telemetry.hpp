@@ -1,7 +1,8 @@
-// Serving telemetry: counters and latency percentiles.
+// Serving telemetry: counters and latency distributions.
 //
-// Counters are atomics (workers bump them concurrently); latency samples go
-// through a mutex-guarded reservoir, snapshotted and sorted on demand. The
+// Counters are atomics and latencies go into lock-free log-linear
+// histograms (obs/histogram.hpp), so workers record concurrently without a
+// lock and a snapshot copies plain mergeable histograms. The
 // counters are designed to *reconcile*: completed = clean + recovered +
 // fallback, checksum_clean + checksum_dirty = completed, and under an
 // injection campaign every non-clean path traces back to an injected plan
@@ -10,45 +11,28 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <mutex>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/guarded_op.hpp"
+#include "obs/histogram.hpp"
 #include "obs/op_profile.hpp"
 #include "serve/request.hpp"
-#include "tensor/random.hpp"
 
 namespace flashabft::serve {
 
-/// Linear-interpolation percentile of a sample set; `p` in [0, 1].
-/// Returns 0 for an empty set.
-[[nodiscard]] double percentile(std::span<const double> sorted_samples,
-                                double p);
+/// A latency in microseconds as whole nanoseconds, the histograms' unit
+/// (negative -> 0).
+[[nodiscard]] inline std::uint64_t ns_from_us(double us) {
+  return us > 0.0 ? std::uint64_t(std::llround(us * 1e3)) : 0;
+}
 
-/// Fixed-capacity uniform sample of a latency stream (Vitter's Algorithm
-/// R): exact up to `capacity` samples, then each later sample replaces a
-/// uniformly random slot with probability capacity/seen. Percentiles stay
-/// unbiased while memory — and the per-snapshot sort — stay bounded for
-/// arbitrarily long serving runs. Callers provide locking and the RNG.
-class LatencyReservoir {
- public:
-  explicit LatencyReservoir(std::size_t capacity = 16384)
-      : capacity_(capacity) {}
-
-  void record(double sample_us, Rng& rng);
-  [[nodiscard]] const std::vector<double>& samples() const {
-    return samples_;
-  }
-  [[nodiscard]] std::uint64_t seen() const { return seen_; }
-
- private:
-  std::size_t capacity_;
-  std::vector<double> samples_;
-  std::uint64_t seen_ = 0;
-};
+/// The p-th percentile of a nanosecond histogram, in microseconds.
+[[nodiscard]] inline double percentile_us(const obs::LogHistogram& ns,
+                                          double p) {
+  return double(ns.percentile(p)) * 1e-3;
+}
 
 /// Per-OpKind accounting derived from the unified OpReport stream.
 struct OpKindStats {
@@ -144,14 +128,11 @@ struct TelemetrySnapshot {
   /// attribution. Empty when no guarded op ran with the profiler attached.
   obs::OpTimingSnapshot timing;
 
-  // Latency percentiles, microseconds.
-  double queue_p50_us = 0, queue_p99_us = 0;
-  double service_p50_us = 0, service_p99_us = 0;
-  double total_p50_us = 0, total_p95_us = 0, total_p99_us = 0;
-  /// Max over the retained reservoir — exact until the reservoir fills.
-  double total_max_us = 0;
-  /// Time-to-first-token percentiles over completed sessions.
-  double ttft_p50_us = 0, ttft_p99_us = 0;
+  // Latency distributions, nanoseconds (read with percentile_us).
+  obs::LogHistogram queue_ns;    ///< enqueue -> execution start.
+  obs::LogHistogram service_ns;  ///< execution start -> completion.
+  obs::LogHistogram latency_ns;  ///< enqueue -> completion.
+  obs::LogHistogram ttft_ns;     ///< enqueue -> first token, per session.
 
   /// Requests per second over `wall_seconds`.
   [[nodiscard]] double throughput_rps(double wall_seconds) const;
@@ -172,35 +153,21 @@ struct TelemetrySnapshot {
 /// Thread-safe telemetry sink shared by all workers of one server.
 class ServeTelemetry {
  public:
-  void on_submit() { submitted_.fetch_add(1, std::memory_order_relaxed); }
-  void on_reject() { rejected_.fetch_add(1, std::memory_order_relaxed); }
-  void on_batch() { batches_.fetch_add(1, std::memory_order_relaxed); }
-  void on_escalation() {
-    escalations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_breaker_trip() {
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_breaker_bypass() {
-    breaker_bypasses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_session_start() {
-    sessions_started_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_session_parked() {
-    sessions_parked_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void on_submit() { bump(submitted_); }
+  void on_reject() { bump(rejected_); }
+  void on_batch() { bump(batches_); }
+  void on_escalation() { bump(escalations_); }
+  void on_breaker_trip() { bump(breaker_trips_); }
+  void on_breaker_bypass() { bump(breaker_bypasses_); }
+  void on_session_start() { bump(sessions_started_); }
+  void on_session_parked() { bump(sessions_parked_); }
   /// One continuous-scheduler decode sweep advancing `batch` sessions.
   void on_scheduler_tick(std::size_t batch) {
-    scheduler_ticks_.fetch_add(1, std::memory_order_relaxed);
-    scheduled_steps_.fetch_add(batch, std::memory_order_relaxed);
+    bump(scheduler_ticks_);
+    bump(scheduled_steps_, batch);
   }
-  void on_preemption() {
-    preemptions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_session_resume() {
-    session_resumes_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void on_preemption() { bump(preemptions_); }
+  void on_session_resume() { bump(session_resumes_); }
   /// Publishes the scheduler's page-pool occupancy (scheduler thread only;
   /// peak is tracked by the caller alongside the gauge).
   void set_page_usage(std::size_t in_use, std::size_t total,
@@ -242,7 +209,7 @@ class ServeTelemetry {
   }
 
   /// Records one completed response: outcome path, fault accounting and the
-  /// three latency samples.
+  /// three latency samples. Lock-free, like every other recorder here.
   void on_response(const ServeResponse& response);
 
   /// Records a completed generation session's token/TTFT accounting (the
@@ -260,6 +227,10 @@ class ServeTelemetry {
   }
 
  private:
+  static void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+    counter.fetch_add(n, std::memory_order_relaxed);
+  }
+
   mutable obs::OpTimingProfiler op_profiler_;
   std::atomic<ComputeBackend> compute_{ComputeBackend::kScalar};
   std::atomic<std::uint64_t> submitted_{0};
@@ -309,13 +280,10 @@ class ServeTelemetry {
   std::array<std::atomic<std::uint64_t>, kOpKindCount> kind_alarms_{};
   std::array<std::atomic<std::uint64_t>, kOpKindCount> kind_recovered_{};
   std::array<std::atomic<std::uint64_t>, kOpKindCount> kind_escalated_{};
-
-  mutable std::mutex latency_mutex_;
-  Rng reservoir_rng_{0x5E12E};  ///< guarded by latency_mutex_.
-  LatencyReservoir queue_us_;
-  LatencyReservoir service_us_;
-  LatencyReservoir total_us_;
-  LatencyReservoir ttft_us_;
+  obs::AtomicHistogram queue_ns_;
+  obs::AtomicHistogram service_ns_;
+  obs::AtomicHistogram latency_ns_;
+  obs::AtomicHistogram ttft_ns_;
 };
 
 }  // namespace flashabft::serve

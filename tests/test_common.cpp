@@ -1,6 +1,8 @@
 // Tests of the support utilities: ensure, table rendering, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/cli.hpp"
 #include "common/ensure.hpp"
 #include "common/table.hpp"
@@ -92,6 +94,53 @@ TEST(Cli, BadBoolThrows) {
   const char* argv[] = {"prog", "--flag=maybe"};
   const CliArgs args(2, argv);
   EXPECT_THROW((void)args.get_bool("flag", false), EnsureError);
+}
+
+TEST(Cli, MalformedNumbersThrow) {
+  const char* argv[] = {"prog",       "--threads=4x",
+                        "--prob=abc", "--rate=0.5e",
+                        "--blank=",   "--huge=1e999",
+                        "--neg=-3",   "--big=99999999999999999999",
+                        "--sci=2.5e-3"};
+  const CliArgs args(9, argv);
+  EXPECT_THROW((void)args.get_int("threads", 0), EnsureError);
+  EXPECT_THROW((void)args.get_size("threads", 0), EnsureError);
+  EXPECT_THROW((void)args.get_double("prob", 0.0), EnsureError);
+  EXPECT_THROW((void)args.get_double("rate", 0.0), EnsureError);
+  EXPECT_THROW((void)args.get_int("blank", 0), EnsureError);
+  EXPECT_THROW((void)args.get_double("blank", 0.0), EnsureError);
+  EXPECT_THROW((void)args.get_double("huge", 0.0), EnsureError);
+  EXPECT_THROW((void)args.get_int("big", 0), EnsureError);
+  // Well-formed values still parse whole.
+  EXPECT_EQ(args.get_int("neg", 0), -3);
+  EXPECT_THROW((void)args.get_size("neg", 0), EnsureError);
+  EXPECT_DOUBLE_EQ(args.get_double("sci", 0.0), 2.5e-3);
+}
+
+TEST(Cli, RejectUnknownNamesEveryUnreadFlag) {
+  const char* argv[] = {"prog", "--alpha=1", "--bogus=1", "--scheduler",
+                        "legacy", "--beta"};
+  const CliArgs args(6, argv);
+  EXPECT_EQ(args.get_int("alpha", 0), 1);
+  EXPECT_TRUE(args.has("beta"));
+  EXPECT_EQ(args.get_int("absent", 7), 7);  // reading an absent flag is fine.
+  try {
+    args.reject_unknown();
+    FAIL() << "unknown flags were accepted";
+  } catch (const EnsureError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--bogus"), std::string::npos) << what;
+    EXPECT_NE(what.find("--scheduler"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--alpha"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--beta"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(all_flags_known(args));
+
+  // Once every flag has been read, nothing is unknown.
+  (void)args.get_string("bogus", "");
+  (void)args.get_string("scheduler", "");
+  EXPECT_NO_THROW(args.reject_unknown());
+  EXPECT_TRUE(all_flags_known(args));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Tests of the observability subsystem (src/obs/): trace-collector span
 // nesting, per-thread buffer merge determinism and drop accounting, flight-
-// recorder ring wraparound and concurrent sequencing, log-histogram merge
-// identity, per-OpKind guard-phase profiling through GuardedExecutor, the
-// fully-off zero-event path, and tracing under the threaded continuous
-// scheduler (the TSan target).
+// recorder ring wraparound and concurrent sequencing, the log-linear
+// histogram's layout, error bound, merge identity and concurrent recording,
+// per-OpKind guard-phase profiling through GuardedExecutor, the fully-off
+// zero-event path, and tracing under the threaded continuous scheduler (the
+// TSan target).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include "obs/op_profile.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
+#include "tensor/random.hpp"
 
 namespace flashabft {
 namespace {
@@ -186,37 +189,38 @@ TEST(ObsFlight, ConcurrentRecordsKeepUniqueSequence) {
 
 // --- LogHistogram / OpTimingProfiler -------------------------------------
 
-TEST(ObsHistogram, MergeMatchesSingleHistogram) {
-  const std::vector<std::uint64_t> values = {0,  1,    2,      3,       7,
-                                             8,  100,  1023,   1024,    4096,
-                                             1u << 20, 900000, 1234567, 42};
-  obs::LogHistogram whole;
-  obs::LogHistogram left;
-  obs::LogHistogram right;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    whole.add(values[i]);
-    (i % 2 == 0 ? left : right).add(values[i]);
+/// `n` seeded samples, log-uniform over 1 ns .. 1 s.
+std::vector<std::uint64_t> log_uniform_ns(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> out(n);
+  for (std::uint64_t& v : out) {
+    v = std::uint64_t(std::llround(std::pow(1e9, rng.next_double())));
   }
-  obs::LogHistogram merged = left;
-  merged.merge(right);
-
-  EXPECT_EQ(merged.count, whole.count);
-  EXPECT_EQ(merged.total, whole.total);
-  EXPECT_EQ(merged.buckets, whole.buckets);
-  EXPECT_DOUBLE_EQ(merged.mean(), whole.mean());
-  EXPECT_EQ(merged.percentile(0.5), whole.percentile(0.5));
-  EXPECT_EQ(merged.percentile(0.99), whole.percentile(0.99));
+  return out;
 }
 
-TEST(ObsHistogram, BucketEdgesAndPercentileBounds) {
-  EXPECT_EQ(obs::LogHistogram::bucket_of(0), 0u);
-  EXPECT_EQ(obs::LogHistogram::bucket_of(1), 0u);
-  EXPECT_EQ(obs::LogHistogram::bucket_of(2), 1u);
-  EXPECT_EQ(obs::LogHistogram::bucket_of(3), 1u);
-  EXPECT_EQ(obs::LogHistogram::bucket_of(4), 2u);
-  EXPECT_EQ(obs::LogHistogram::bucket_of(1023), 9u);
-  EXPECT_EQ(obs::LogHistogram::bucket_of(1024), 10u);
-  // Values past the top bucket clamp instead of indexing out of range.
+TEST(ObsHistogram, BucketEdgesTileTheRange) {
+  // Values below two octaves of sub-buckets are exact unit buckets.
+  for (std::uint64_t v = 0; v < 2 * obs::LogHistogram::kSubBuckets; ++v) {
+    EXPECT_EQ(obs::LogHistogram::bucket_of(v), v);
+  }
+  // Above them each octave splits into 16 linear sub-buckets.
+  EXPECT_EQ(obs::LogHistogram::bucket_of(32), 32u);
+  EXPECT_EQ(obs::LogHistogram::bucket_of(33), 32u);
+  EXPECT_EQ(obs::LogHistogram::bucket_of(34), 33u);
+  EXPECT_EQ(obs::LogHistogram::bucket_of(1024), 112u);
+  for (std::size_t i = 0; i + 1 < obs::LogHistogram::kBuckets; ++i) {
+    const std::uint64_t lo = obs::LogHistogram::bucket_floor(i);
+    const std::uint64_t hi = obs::LogHistogram::bucket_max(i);
+    ASSERT_EQ(hi + 1, obs::LogHistogram::bucket_floor(i + 1)) << i;
+    ASSERT_EQ(obs::LogHistogram::bucket_of(lo), i);
+    ASSERT_EQ(obs::LogHistogram::bucket_of(hi), i);
+    // The relative-error bound: a bucket spans at most 1/16 of its floor.
+    ASSERT_LE(double(hi - lo), double(lo) / 16.0) << i;
+  }
+  // Forty octaves of range; larger values clamp into the top bucket.
+  EXPECT_EQ(obs::LogHistogram::bucket_max(obs::LogHistogram::kBuckets - 1),
+            (std::uint64_t{1} << 40) - 1);
   EXPECT_EQ(obs::LogHistogram::bucket_of(~std::uint64_t{0}),
             obs::LogHistogram::kBuckets - 1);
 
@@ -225,11 +229,99 @@ TEST(ObsHistogram, BucketEdgesAndPercentileBounds) {
   h.add(1000);
   h.add(2000);
   h.add(4000);
-  // Percentiles report the holding bucket's upper edge — a bound that is
-  // always >= the true sample.
-  EXPECT_GE(h.percentile(0.5), 1024u);
-  EXPECT_GE(h.percentile(1.0), 4000u);
+  EXPECT_GE(h.percentile(0.5), 2000u);
+  EXPECT_LE(h.percentile(0.5), 2000u + 2000u / 16);
+  EXPECT_EQ(h.percentile(0.0), 1023u);  // 1000's bucket is [992, 1023].
+  EXPECT_EQ(h.percentile(1.0), 4000u);  // clamped to the exact max.
+  EXPECT_EQ(h.min, 1000u);
+  EXPECT_EQ(h.max, 4000u);
   EXPECT_DOUBLE_EQ(h.mean(), 7000.0 / 3.0);
+}
+
+TEST(ObsHistogram, PercentilesWithinOneSixteenthOfNearestRank) {
+  const std::vector<std::uint64_t> values = log_uniform_ns(20000, 2026);
+  obs::LogHistogram h;
+  for (const std::uint64_t v : values) h.add(v);
+  std::vector<std::uint64_t> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+
+  EXPECT_EQ(h.count, sorted.size());
+  EXPECT_EQ(h.min, sorted.front());
+  EXPECT_EQ(h.max, sorted.back());
+  for (const double p : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
+                         0.99, 0.999, 1.0}) {
+    const std::size_t rank = std::max<std::size_t>(
+        1, std::size_t(std::ceil(p * double(sorted.size()))));
+    const std::uint64_t exact = sorted[rank - 1];
+    const std::uint64_t got = h.percentile(p);
+    EXPECT_GE(got, exact) << "p=" << p;
+    EXPECT_LE(double(got), double(exact) * (1.0 + 1.0 / 16.0)) << "p=" << p;
+  }
+}
+
+TEST(ObsHistogram, EqualValuesReadBackExactly) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{15},
+        std::uint64_t{17}, std::uint64_t{1000}, std::uint64_t{100000},
+        std::uint64_t{123456789}, std::uint64_t{1000000000}}) {
+    obs::LogHistogram h;
+    for (int i = 0; i < 1000; ++i) h.add(v);
+    for (const double p : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+      EXPECT_EQ(h.percentile(p), v) << "v=" << v << " p=" << p;
+    }
+    EXPECT_EQ(h.min, v);
+    EXPECT_EQ(h.max, v);
+  }
+}
+
+TEST(ObsHistogram, MergeOfHalvesEqualsWhole) {
+  const std::vector<std::uint64_t> values = log_uniform_ns(5000, 7);
+  obs::LogHistogram whole;
+  obs::LogHistogram left;
+  obs::LogHistogram right;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    whole.add(values[i]);
+    (i < values.size() / 2 ? left : right).add(values[i]);
+  }
+  obs::LogHistogram merged = left;
+  merged.merge(right);
+  EXPECT_EQ(merged, whole);  // buckets, count, total, min and max.
+  // In either order, and with an empty side.
+  obs::LogHistogram reversed = right;
+  reversed.merge(left);
+  EXPECT_EQ(reversed, whole);
+  obs::LogHistogram from_empty;
+  from_empty.merge(whole);
+  EXPECT_EQ(from_empty, whole);
+  merged.merge(obs::LogHistogram{});
+  EXPECT_EQ(merged, whole);
+}
+
+TEST(ObsHistogram, ConcurrentAtomicRecordsAreExact) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 20000;
+  std::vector<std::vector<std::uint64_t>> values(kThreads);
+  obs::LogHistogram serial;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    values[t] = log_uniform_ns(kPerThread, 100 + t);
+    for (const std::uint64_t v : values[t]) serial.add(v);
+  }
+  obs::AtomicHistogram shared;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &values, t] {
+      for (const std::uint64_t v : values[t]) shared.record(v);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const obs::LogHistogram snap = shared.snapshot();
+  EXPECT_EQ(snap.count, kThreads * kPerThread);
+  EXPECT_EQ(snap.total, serial.total);
+  EXPECT_EQ(snap, serial);  // every bucket, min and max too.
+
+  shared.clear();
+  EXPECT_EQ(shared.snapshot(), obs::LogHistogram{});
 }
 
 TEST(ObsProfiler, SnapshotAttributesPhasesAndOverhead) {

@@ -1,9 +1,17 @@
 // Tests of the serving components around the server core: batch forming,
-// the circuit breaker, and telemetry percentiles/counters.
+// the circuit breaker, telemetry counters and the Prometheus exposition.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/batch_former.hpp"
@@ -142,27 +150,6 @@ TEST(CircuitBreaker, ResetForcesClosed) {
 
 // --- telemetry ---
 
-TEST(Telemetry, PercentileInterpolates) {
-  const std::vector<double> sorted = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile(sorted, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(sorted, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(sorted, 0.5), 25.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(percentile(std::vector<double>{7.0}, 0.99), 7.0);
-}
-
-TEST(Telemetry, ReservoirStaysBoundedAndRepresentative) {
-  LatencyReservoir reservoir(/*capacity=*/64);
-  Rng rng(3);
-  for (int i = 0; i < 10000; ++i) reservoir.record(double(i % 100), rng);
-  EXPECT_EQ(reservoir.samples().size(), 64u);
-  EXPECT_EQ(reservoir.seen(), 10000u);
-  for (const double sample : reservoir.samples()) {
-    EXPECT_GE(sample, 0.0);
-    EXPECT_LT(sample, 100.0);
-  }
-}
-
 TEST(Telemetry, CountersReconcileAcrossPaths) {
   ServeTelemetry telemetry;
   const auto response = [](ServePath path, bool clean, std::size_t alarms) {
@@ -205,9 +192,116 @@ TEST(Telemetry, CountersReconcileAcrossPaths) {
   EXPECT_EQ(attention.checks, 3u);
   EXPECT_EQ(attention.alarms, 4u);
   EXPECT_EQ(attention.recovered, 1u);
-  EXPECT_DOUBLE_EQ(s.total_p50_us, 100.0);
+  EXPECT_DOUBLE_EQ(percentile_us(s.latency_ns, 0.50), 100.0);
   EXPECT_GT(s.throughput_rps(2.0), 0.0);
   EXPECT_FALSE(s.render(1.0).empty());
+}
+
+TEST(Telemetry, PrometheusExpositionIsWellFormed) {
+  ServeTelemetry telemetry;
+  obs::OpTimingProfiler& profiler = *telemetry.op_profiler();
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    const std::uint64_t ns = i * i * 997 + i;  // ~1 us .. ~90 ms.
+    profiler.record(OpKind::kAttentionFlashAbft, obs::GuardPhase::kCompute,
+                    ns);
+    profiler.record(OpKind::kAttentionFlashAbft, obs::GuardPhase::kVerify,
+                    ns / 50);
+    profiler.record(OpKind::kProjection, obs::GuardPhase::kRecovery, i % 7);
+  }
+  const TelemetrySnapshot s = telemetry.snapshot();
+
+  // Every histogram series the exposition must carry, by name{labels}.
+  std::map<std::string, const obs::LogHistogram*> expected;
+  for (std::size_t k = 0; k < kOpKindCount; ++k) {
+    for (std::size_t p = 0; p < obs::kGuardPhaseCount; ++p) {
+      if (s.timing.cells[k][p].count == 0) continue;
+      expected["flashabft_guard_phase_duration_seconds{kind=\"" +
+               std::string(op_kind_name(OpKind(k))) + "\",phase=\"" +
+               obs::guard_phase_name(obs::GuardPhase(p)) + "\"}"] =
+          &s.timing.cells[k][p];
+    }
+  }
+  ASSERT_EQ(expected.size(), 3u);
+
+  struct Series {
+    std::vector<std::pair<double, std::uint64_t>> buckets;  // (le, count).
+    std::optional<double> sum;
+    std::optional<std::uint64_t> count;
+  };
+  std::map<std::string, std::string> type_of;  // family -> TYPE.
+  std::set<std::string> helped;
+  std::map<std::string, Series> series;
+  std::istringstream in(s.prometheus_text(1.0));
+  std::string line;
+  while (std::getline(in, line)) {
+    ASSERT_FALSE(line.empty());
+    std::istringstream words(line);
+    std::string first, keyword, family;
+    if (line[0] == '#') {
+      words >> first >> keyword >> family;
+      if (keyword == "HELP") helped.insert(family);
+      if (keyword == "TYPE") words >> type_of[family];
+      continue;
+    }
+    const std::size_t space = line.rfind(' ');
+    const std::string name_labels = line.substr(0, space);
+    const std::string value = line.substr(space + 1);
+    const std::size_t brace = name_labels.find('{');
+    const std::string name = name_labels.substr(0, brace);
+    std::string labels =
+        brace == std::string::npos
+            ? ""
+            : name_labels.substr(brace + 1, name_labels.size() - brace - 2);
+
+    // A histogram's samples extend its family name with a suffix.
+    family = name;
+    for (const std::string suffix : {"_bucket", "_sum", "_count"}) {
+      if (!name.ends_with(suffix)) continue;
+      const std::string base = name.substr(0, name.size() - suffix.size());
+      const auto type = type_of.find(base);
+      if (type != type_of.end() && type->second == "histogram") family = base;
+    }
+    ASSERT_TRUE(helped.count(family)) << "no # HELP for " << line;
+    ASSERT_TRUE(type_of.count(family)) << "no # TYPE for " << line;
+    if (type_of[family] != "histogram") continue;
+
+    const std::string suffix = name.substr(family.size());
+    if (suffix == "_bucket") {
+      const std::size_t le = labels.find("le=\"");
+      ASSERT_NE(le, std::string::npos) << line;
+      const std::string edge =
+          labels.substr(le + 4, labels.size() - le - 5);
+      labels = labels.substr(0, le == 0 ? 0 : le - 1);
+      series[family + "{" + labels + "}"].buckets.emplace_back(
+          edge == "+Inf" ? std::numeric_limits<double>::infinity()
+                         : std::stod(edge),
+          std::stoull(value));
+    } else if (suffix == "_sum") {
+      series[family + "{" + labels + "}"].sum = std::stod(value);
+    } else {
+      series[family + "{" + labels + "}"].count = std::stoull(value);
+    }
+  }
+
+  ASSERT_EQ(series.size(), expected.size());
+  for (const auto& [key, h] : expected) {
+    ASSERT_TRUE(series.count(key)) << "missing " << key;
+    const Series& got = series.at(key);
+    ASSERT_FALSE(got.buckets.empty()) << key;
+    for (std::size_t i = 1; i < got.buckets.size(); ++i) {
+      EXPECT_LT(got.buckets[i - 1].first, got.buckets[i].first) << key;
+      EXPECT_LE(got.buckets[i - 1].second, got.buckets[i].second) << key;
+    }
+    EXPECT_EQ(got.buckets.back().first,
+              std::numeric_limits<double>::infinity())
+        << key;
+    ASSERT_TRUE(got.count.has_value()) << key;
+    EXPECT_EQ(got.buckets.back().second, *got.count) << key;
+    EXPECT_EQ(*got.count, h->count) << key;
+    ASSERT_TRUE(got.sum.has_value()) << key;
+    const double seconds = double(h->total) * 1e-9;
+    EXPECT_NEAR(*got.sum, seconds, 1e-13 * seconds) << key;
+  }
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(ServeGenerate, CleanSessionCompletesWithTokensAndTelemetry) {
   EXPECT_EQ(s.sessions_completed, 1u);
   EXPECT_EQ(s.tokens_generated, kNew);
   EXPECT_EQ(s.decode_steps, kNew - 1);
-  EXPECT_GT(s.ttft_p50_us, 0.0);
+  EXPECT_GT(percentile_us(s.ttft_ns, 0.50), 0.0);
   EXPECT_EQ(s.per_kind[std::size_t(OpKind::kKvPage)].checks,
             (kNew - 1) * small_model().num_layers);
   EXPECT_EQ(server.active_sessions(), 0u);
