@@ -328,17 +328,9 @@ void write_json(const std::string& path,
         << "      \"p50_us\": " << percentile_us(t.latency_ns, 0.50) << ",\n"
         << "      \"p95_us\": " << percentile_us(t.latency_ns, 0.95) << ",\n"
         << "      \"p99_us\": " << percentile_us(t.latency_ns, 0.99) << ",\n"
-        << "      \"alarm_events\": " << t.alarm_events << ",\n"
-        << "      \"op_executions\": " << t.op_executions << ",\n"
-        << "      \"recovered\": " << t.recovered << ",\n"
-        << "      \"fallback\": " << t.fallback << ",\n"
-        << "      \"escalations\": " << t.escalations << ",\n"
-        << "      \"checksum_dirty\": " << t.checksum_dirty << ",\n"
         << "      \"transient_injected\": " << s.report.transient_injected
         << ",\n"
         << "      \"persistent_injected\": " << s.report.persistent_injected
-        << ",\n"
-        << "      \"tokens_generated\": " << s.report.tokens_generated
         << ",\n"
         << "      \"tokens_per_sec\": " << s.report.tokens_per_second
         << ",\n"
@@ -346,19 +338,7 @@ void write_json(const std::string& path,
         << ",\n"
         << "      \"ttft_p99_us\": " << percentile_us(t.ttft_ns, 0.99)
         << ",\n"
-        << "      \"sessions_parked\": " << t.sessions_parked << ",\n"
-        << "      \"prefix_hits\": " << t.prefix_hits << ",\n"
-        << "      \"prefix_misses\": " << t.prefix_misses << ",\n"
-        << "      \"prefix_hit_rate\": "
-        << (t.prefix_hits + t.prefix_misses > 0
-                ? double(t.prefix_hits) /
-                      double(t.prefix_hits + t.prefix_misses)
-                : 0.0)
-        << ",\n"
-        << "      \"prefix_hit_tokens\": " << t.prefix_hit_tokens << ",\n"
-        << "      \"prefix_cow_forks\": " << t.prefix_cow_forks << ",\n"
-        << "      \"prefix_evictions\": " << t.prefix_evictions << ",\n"
-        << "      \"shared_heals\": " << t.shared_heals << ",\n"
+        << "      \"prefix_hit_rate\": " << t.prefix_hit_rate() << ",\n"
         << "      \"prefix_cached_responses\": "
         << s.report.prefix_cached_responses << ",\n"
         << "      \"cached_ttft_p50_us\": "
@@ -366,19 +346,15 @@ void write_json(const std::string& path,
         << "      \"uncached_ttft_p50_us\": "
         << percentile_us(s.report.uncached_ttft_ns, 0.5) << ",\n"
         << "      \"batch_occupancy\": " << t.batch_occupancy() << ",\n"
-        << "      \"preemptions\": " << t.preemptions << ",\n"
-        << "      \"session_resumes\": " << t.session_resumes << ",\n"
         << "      \"peak_page_utilization\": " << t.peak_page_utilization()
-        << ",\n"
-        << "      \"meta_verifies\": " << t.meta_verifies << ",\n"
-        << "      \"scrub_passes\": " << t.scrub_passes << ",\n"
-        << "      \"scrub_items\": " << t.scrub_items << ",\n"
-        << "      \"scrub_faults_found\": " << t.scrub_faults_found << ",\n"
-        << "      \"scrub_repairs\": " << t.scrub_repairs << ",\n"
-        << "      \"scrub_unrepairable\": " << t.scrub_unrepairable << ",\n"
-        << "      \"dmr_compares\": " << t.dmr_compares << ",\n"
-        << "      \"dmr_mismatches\": " << t.dmr_mismatches
-        << ",\n      \"per_kind\": {";
+        << ",\n";
+    // Every non-zero registry counter under its name; a reader takes a
+    // missing counter as 0.
+    for (const CounterInfo& c : kCounters) {
+      if (t.*c.field == 0) continue;
+      out << "      \"" << c.name << "\": " << t.*c.field << ",\n";
+    }
+    out << "      \"per_kind\": {";
     bool first = true;
     for (std::size_t k = 0; k < kOpKindCount; ++k) {
       const OpKindStats& stats = t.per_kind[k];
@@ -561,135 +537,35 @@ int main(int argc, char** argv) {
     const LoadReport report = run_load(server, load);
     server.shutdown();
 
+    // What only the client saw, then the server's own view.
     Table t({"metric", "value"});
-    t.set_title(title + " · " + backend_name(compute));
-    t.add_row({"compute backend", backend_name(compute)});
-    t.add_row({"storage dtype", dtype_name(dtype)});
-    t.add_row({"workers", format_number(double(common->threads), 0)});
-    t.add_row({"requests", format_number(double(report.completed), 0)});
-    t.add_row({"throughput (req/s)",
-               format_number(report.throughput_rps, 1)});
-    const obs::LogHistogram& latency = report.telemetry.latency_ns;
-    t.add_row({"p50 latency (us)",
-               format_number(percentile_us(latency, 0.50), 1)});
-    t.add_row({"p95 latency (us)",
-               format_number(percentile_us(latency, 0.95), 1)});
-    t.add_row({"p99 latency (us)",
-               format_number(percentile_us(latency, 0.99), 1)});
-    if (generate_mode) {
-      t.add_row({"tokens generated",
-                 format_number(double(report.tokens_generated), 0)});
-      t.add_row({"tokens/sec", format_number(report.tokens_per_second, 1)});
-      const obs::LogHistogram& ttft = report.telemetry.ttft_ns;
-      t.add_row({"ttft p50 (us)", format_number(percentile_us(ttft, 0.50), 1)});
-      t.add_row({"ttft p99 (us)", format_number(percentile_us(ttft, 0.99), 1)});
-      t.add_row({"sessions parked",
-                 format_number(double(report.telemetry.sessions_parked), 0)});
-    }
+    t.set_title(title + " · " + backend_name(compute) + " · " +
+                dtype_name(dtype));
+    const auto row = [&t](const char* name, double value, int precision) {
+      t.add_row({name, format_number(value, precision)});
+    };
+    row("faults injected (transient)", double(report.transient_injected), 0);
+    row("faults injected (persistent)", double(report.persistent_injected),
+        0);
+    row("clean first try (client)", double(report.guarded_clean), 0);
+    row("recovered (client)", double(report.recovered), 0);
+    row("fallback served (client)", double(report.fallback), 0);
+    row("checksum-clean responses", double(report.clean_responses), 0);
     if (prefix_workload) {
-      const TelemetrySnapshot& tel = report.telemetry;
-      const std::size_t lookups = tel.prefix_hits + tel.prefix_misses;
-      t.add_row({"prefix hits / misses",
-                 format_number(double(tel.prefix_hits), 0) + " / " +
-                     format_number(double(tel.prefix_misses), 0)});
-      t.add_row({"prefix hit rate",
-                 format_number(lookups > 0 ? double(tel.prefix_hits) /
-                                                 double(lookups)
-                                           : 0.0,
-                               2)});
-      t.add_row({"prefill tokens skipped",
-                 format_number(double(tel.prefix_hit_tokens), 0)});
-      t.add_row({"cow forks / evictions",
-                 format_number(double(tel.prefix_cow_forks), 0) + " / " +
-                     format_number(double(tel.prefix_evictions), 0)});
-      t.add_row({"cached ttft p50 (us)",
-                 format_number(percentile_us(report.cached_ttft_ns, 0.5), 1)});
-      t.add_row(
-          {"uncached ttft p50 (us)",
-           format_number(percentile_us(report.uncached_ttft_ns, 0.5), 1)});
-    }
-    if (generate_mode) {
-      t.add_row({"scheduler ticks",
-                 format_number(double(report.telemetry.scheduler_ticks), 0)});
-      t.add_row({"batch occupancy",
-                 format_number(report.telemetry.batch_occupancy(), 2)});
-      t.add_row({"preemptions",
-                 format_number(double(report.telemetry.preemptions), 0)});
-      t.add_row({"peak page utilization",
-                 format_number(report.telemetry.peak_page_utilization(), 2)});
+      row("cached ttft p50 (us)", percentile_us(report.cached_ttft_ns, 0.5),
+          1);
+      row("uncached ttft p50 (us)",
+          percentile_us(report.uncached_ttft_ns, 0.5), 1);
     }
     // Generation sessions bypass the worker batches, so completed/batches
     // is meaningless for them.
     if (!generate_mode) {
-      t.add_row({"mean batch size",
-                 format_number(report.telemetry.batches > 0
-                                   ? double(report.completed) /
-                                         double(report.telemetry.batches)
-                                   : 0.0,
-                               2)});
+      const std::uint64_t batches = report.telemetry.batches;
+      row("mean batch size",
+          batches > 0 ? double(report.completed) / double(batches) : 0.0, 2);
     }
-    t.add_row({"faults injected (transient)",
-               format_number(double(report.transient_injected), 0)});
-    t.add_row({"faults injected (persistent)",
-               format_number(double(report.persistent_injected), 0)});
-    t.add_row({"alarm events",
-               format_number(double(report.telemetry.alarm_events), 0)});
-    t.add_row({"clean first try",
-               format_number(double(report.guarded_clean), 0)});
-    t.add_row({"recovered", format_number(double(report.recovered), 0)});
-    t.add_row({"escalations",
-               format_number(double(report.telemetry.escalations), 0)});
-    t.add_row({"fallback served",
-               format_number(double(report.fallback), 0)});
-    t.add_row({"checksum-clean responses",
-               format_number(double(report.clean_responses), 0)});
-    if (report.telemetry.meta_verifies > 0 ||
-        report.telemetry.scrub_passes > 0 ||
-        report.telemetry.dmr_compares > 0) {
-      t.add_row({"meta verifies",
-                 format_number(double(report.telemetry.meta_verifies), 0)});
-      t.add_row({"scrub passes / items",
-                 format_number(double(report.telemetry.scrub_passes), 0) +
-                     " / " +
-                     format_number(double(report.telemetry.scrub_items), 0)});
-      t.add_row(
-          {"scrub found / repaired",
-           format_number(double(report.telemetry.scrub_faults_found), 0) +
-               " / " +
-               format_number(double(report.telemetry.scrub_repairs), 0)});
-      t.add_row(
-          {"dmr compares / mismatches",
-           format_number(double(report.telemetry.dmr_compares), 0) + " / " +
-               format_number(double(report.telemetry.dmr_mismatches), 0)});
-    }
-    for (std::size_t k = 0; k < kOpKindCount; ++k) {
-      const OpKindStats& stats = report.telemetry.per_kind[k];
-      if (stats.checks == 0) continue;
-      t.add_row({std::string("op[") + op_kind_name(OpKind(k)) + "]",
-                 format_number(double(stats.checks), 0) + " checks, " +
-                     format_number(double(stats.alarms), 0) + " alarms, " +
-                     format_number(double(stats.recovered), 0) +
-                     " recovered"});
-    }
-    const obs::OpTimingSnapshot& timing = report.telemetry.timing;
-    for (std::size_t k = 0; k < kOpKindCount; ++k) {
-      const OpKind kind = OpKind(k);
-      if (timing.of(kind, obs::GuardPhase::kCompute).count == 0 &&
-          timing.guard_ns(kind) == 0) {
-        continue;
-      }
-      t.add_row(
-          {std::string("abft[") + op_kind_name(kind) + "]",
-           format_number(double(timing.compute_ns(kind)) / 1e6, 2) +
-               " ms compute, " +
-               format_number(
-                   double(timing.of(kind, obs::GuardPhase::kVerify).total) /
-                       1e6,
-                   2) +
-               " ms verify, " +
-               format_number(timing.overhead_pct(kind), 1) + "% overhead"});
-    }
-    std::cout << t.render() << '\n';
+    std::cout << t.render() << report.telemetry.render(report.wall_seconds)
+              << '\n';
 
     // Reconciliation: completion, checksum cleanliness, and fault-plan
     // accounting (alarms only happen on requests that carried a plan).

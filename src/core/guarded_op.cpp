@@ -105,7 +105,13 @@ GuardedExecutor::GuardedExecutor(Options options)
 
 GuardedExecutor::GuardedExecutor(CheckerConfig checker,
                                  RecoveryPolicy recovery)
-    : GuardedExecutor(Options{checker, recovery, false, {}}) {}
+    : GuardedExecutor([&] {
+        // Named fields: every other option keeps its default initializer.
+        Options options;
+        options.checker = checker;
+        options.recovery = recovery;
+        return options;
+      }()) {}
 
 void GuardedExecutor::corrupt_checker_tolerances(double scale) {
   options_.checker.abs_tolerance *= scale;

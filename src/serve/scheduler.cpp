@@ -60,7 +60,7 @@ ContinuousScheduler::ContinuousScheduler(
   // concurrency); an explicit setting is honored as-is so the parallel
   // sweep stays testable on any machine.
   if (cfg_.sweep_threads == 0) cfg_.sweep_threads = 1;
-  telemetry_.set_page_usage(0, pool_.num_pages(), 0);
+  telemetry_.set(Counter::kPagesTotal, pool_.num_pages());
   if (cfg_.manual) {
     // Deterministic stepping: the owner drives ticks via run_tick() and a
     // single-threaded sweep keeps every tick's work order reproducible.
@@ -229,12 +229,12 @@ void ContinuousScheduler::tick(std::vector<GenerationSession*> incoming) {
   // Parked admissions first: the table promotes oldest-first, and stamping
   // orders here keeps FIFO age consistent with admission order.
   while (GenerationSession* parked = sessions_.try_activate_parked()) {
-    telemetry_.on_session_start();
+    telemetry_.add(Counter::kSessionsStarted);
     parked->sched_order = next_order_++;
     insert_waiting(parked);
   }
   for (GenerationSession* session : incoming) {
-    telemetry_.on_session_start();
+    telemetry_.add(Counter::kSessionsStarted);
     session->sched_order = next_order_++;
     if (cfg_.trace != nullptr) {
       cfg_.trace->instant_arg("admit", session->sched_order, "sched");
@@ -246,7 +246,7 @@ void ContinuousScheduler::tick(std::vector<GenerationSession*> incoming) {
   // Completions inside this tick freed slots; pull their parked successors
   // now so the wait predicate can sleep on an empty table.
   while (GenerationSession* parked = sessions_.try_activate_parked()) {
-    telemetry_.on_session_start();
+    telemetry_.add(Counter::kSessionsStarted);
     parked->sched_order = next_order_++;
     insert_waiting(parked);
   }
@@ -296,7 +296,7 @@ void ContinuousScheduler::start_or_resume(GenerationSession& session) {
     }
   } else {
     ++session.resumes;
-    telemetry_.on_session_resume();
+    telemetry_.add(Counter::kSessionResumes);
     if (cfg_.flight != nullptr) {
       cfg_.flight->record(obs::FlightEventKind::kResume, "scheduler",
                           "session", session.sched_order);
@@ -397,7 +397,7 @@ bool ContinuousScheduler::preempt_for(std::size_t needed,
 void ContinuousScheduler::preempt(GenerationSession* victim) {
   pool_.free_session(*victim->paged);
   ++victim->preemptions;
-  telemetry_.on_preemption();
+  telemetry_.add(Counter::kPreemptions);
   if (cfg_.flight != nullptr) {
     cfg_.flight->record(obs::FlightEventKind::kPreemption, "scheduler",
                         "session", victim->sched_order);
@@ -429,7 +429,7 @@ void ContinuousScheduler::absorb_report(GenerationSession& session,
   session.recovered_ops += report.recovered_ops();
   session.dmr_compares += report.dmr_compares();
   session.dmr_mismatches += report.dmr_mismatches();
-  if (report.escalated_ops() > 0) telemetry_.on_escalation();
+  if (report.escalated_ops() > 0) telemetry_.add(Counter::kEscalations);
   session.checksum_clean =
       session.checksum_clean && report.all_accepted_clean();
   std::vector<OpReport> flat = report.flatten();
@@ -680,7 +680,8 @@ void ContinuousScheduler::decode_tick() {
 
   const double share_us =
       to_us(Clock::now() - start) / double(advancing.size());
-  telemetry_.on_scheduler_tick(advancing.size());
+  telemetry_.add(Counter::kSchedulerTicks);
+  telemetry_.add(Counter::kScheduledSteps, advancing.size());
   if (cfg_.trace != nullptr) {
     cfg_.trace->instant_arg("decode-batch-size", advancing.size(), "sched");
   }
@@ -743,13 +744,18 @@ void ContinuousScheduler::fail(GenerationSession* session,
 void ContinuousScheduler::publish_page_usage() {
   // Registered-but-unmapped shared pages are cache, not live occupancy:
   // the allocator reclaims them on demand, so they are reported as free.
-  telemetry_.set_page_usage(pool_.pages_in_use() - pool_.evictable_pages(),
-                            pool_.num_pages(), pool_.peak_pages_in_use());
+  telemetry_.set(Counter::kPagesInUse,
+                 pool_.pages_in_use() - pool_.evictable_pages());
+  telemetry_.set(Counter::kPeakPagesInUse, pool_.peak_pages_in_use());
   const PrefixCacheStats prefix = pool_.prefix_stats();
-  telemetry_.set_prefix(prefix.hits, prefix.misses, prefix.hit_tokens,
-                        prefix.cow_forks, prefix.evictions,
-                        prefix.shared_heals, pool_.shared_pages(),
-                        pool_.evictable_pages());
+  telemetry_.set(Counter::kPrefixHits, prefix.hits);
+  telemetry_.set(Counter::kPrefixMisses, prefix.misses);
+  telemetry_.set(Counter::kPrefixHitTokens, prefix.hit_tokens);
+  telemetry_.set(Counter::kPrefixCowForks, prefix.cow_forks);
+  telemetry_.set(Counter::kPrefixEvictions, prefix.evictions);
+  telemetry_.set(Counter::kSharedHeals, prefix.shared_heals);
+  telemetry_.set(Counter::kSharedPages, pool_.shared_pages());
+  telemetry_.set(Counter::kEvictablePages, pool_.evictable_pages());
   // CoW forks and shared-page heals happen inside the pool; surface them as
   // counter deltas at this publish boundary (one event per occurrence).
   for (; seen_cow_forks_ < prefix.cow_forks; ++seen_cow_forks_) {
@@ -844,8 +850,11 @@ std::vector<scrub::ScrubItem> ContinuousScheduler::scrub_items() {
 
 void ContinuousScheduler::publish_scrub() {
   const scrub::ScrubStats stats = scrubber_->stats();
-  telemetry_.set_scrub(stats.passes, stats.items_scrubbed, stats.faults_found,
-                       stats.repairs, stats.unrepairable);
+  telemetry_.set(Counter::kScrubPasses, stats.passes);
+  telemetry_.set(Counter::kScrubItems, stats.items_scrubbed);
+  telemetry_.set(Counter::kScrubFaultsFound, stats.faults_found);
+  telemetry_.set(Counter::kScrubRepairs, stats.repairs);
+  telemetry_.set(Counter::kScrubUnrepairable, stats.unrepairable);
 }
 
 }  // namespace flashabft::serve

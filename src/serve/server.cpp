@@ -179,8 +179,9 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
   std::future<ServeResponse> future = pending.promise.get_future();
   // Counted before the push: once queued, a worker can complete the request
   // (and bump `completed`) before this thread resumes, and a concurrent
-  // snapshot must never see completed > submitted.
-  telemetry_.on_submit();
+  // snapshot must never see completed > submitted (ServeTelemetry::snapshot
+  // loads `completed` first for the same reason).
+  telemetry_.add(Counter::kSubmitted);
   if (std::holds_alternative<GenerationWork>(pending.request.work)) {
     // Generation sessions bypass the worker queue — admission control is
     // the SessionTable, backpressure the paged pool.
@@ -189,7 +190,7 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
   }
   const bool accepted = queue_.push(std::move(pending));
   if (!accepted) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::kRejected);
     FLASHABFT_ENSURE_MSG(false, "server shut down while submitting");
   }
   return future;
@@ -198,12 +199,12 @@ std::future<ServeResponse> InferenceServer::submit(ServeRequest request) {
 SubmitResult InferenceServer::try_submit(ServeRequest request,
                                          std::future<ServeResponse>& out) {
   if (shut_down_.load(std::memory_order_acquire)) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::kRejected);
     return SubmitResult::kShutDown;
   }
   Pending pending = make_pending(std::move(request));
   std::future<ServeResponse> future = pending.promise.get_future();
-  telemetry_.on_submit();  // before the push — see submit().
+  telemetry_.add(Counter::kSubmitted);  // before the push — see submit().
   if (std::holds_alternative<GenerationWork>(pending.request.work)) {
     // Same admission as submit(): the request is accepted and a table-full
     // shed fails its future (counted as a rejection).
@@ -212,7 +213,7 @@ SubmitResult InferenceServer::try_submit(ServeRequest request,
     return SubmitResult::kAccepted;
   }
   if (!queue_.try_push(std::move(pending))) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::kRejected);
     // try_push fails for a full queue or a closed one; a close racing this
     // call must surface as the typed shutdown reason, not as load shedding.
     return queue_.closed() ? SubmitResult::kShutDown
@@ -243,7 +244,7 @@ void InferenceServer::admit_generation(Pending pending) {
   try {
     engine = &scheduler();
   } catch (...) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::kRejected);
     throw;
   }
   std::unique_ptr<GenerationSession> session =
@@ -252,20 +253,20 @@ void InferenceServer::admit_generation(Pending pending) {
   if (!engine->admit(session, admission)) {
     // Shutdown already decided the drain: admitting now would orphan the
     // session's future, so it fails like a closed-queue submit.
-    telemetry_.on_reject();
+    telemetry_.add(Counter::kRejected);
     session->promise.set_exception(std::make_exception_ptr(
         EnsureError("server shut down while submitting")));
     return;
   }
   if (admission.shed != nullptr) {
-    telemetry_.on_reject();
+    telemetry_.add(Counter::kRejected);
     admission.shed->promise.set_exception(std::make_exception_ptr(
         EnsureError("generation session load-shed: session table full")));
     return;
   }
-  // on_session_start is the scheduler thread's to emit (it must precede
+  // kSessionsStarted is the scheduler thread's to count (it must precede
   // on_session_complete, and the session may already be running).
-  if (admission.parked) telemetry_.on_session_parked();
+  if (admission.parked) telemetry_.add(Counter::kSessionsParked);
 }
 
 void InferenceServer::set_worker_defect(std::size_t worker_id,
@@ -293,7 +294,7 @@ void InferenceServer::worker_loop(Worker& worker) {
   while (true) {
     std::vector<Pending> batch = form_batch(queue_, config_.batching);
     if (batch.empty()) return;  // queue closed and drained.
-    telemetry_.on_batch();
+    telemetry_.add(Counter::kBatches);
     for (Pending& pending : batch) {
       // A malformed request (e.g. head shapes that don't match the
       // accelerator) must fail its own future, not escape the thread and
@@ -403,7 +404,7 @@ void InferenceServer::execute_attention(Worker& worker,
   if (bypass) {
     // Breaker open: this worker's accelerator is a persistent-defect
     // suspect; serve the whole layer from the reference kernel.
-    telemetry_.on_breaker_bypass();
+    telemetry_.add(Counter::kBreakerBypasses);
     WorklistResult served =
         executor.run_all_fallback(head_count, cost_per_head, reference_one);
     response.path = ServePath::kFallbackReference;
@@ -453,14 +454,14 @@ void InferenceServer::execute_attention(Worker& worker,
 
   if (served.escalated) {
     // Retries exhausted on this device: persistent-fault suspect.
-    telemetry_.on_escalation();
+    telemetry_.add(Counter::kEscalations);
     bool tripped;
     {
       std::lock_guard lock(worker.breaker_mutex);
       tripped = worker.breaker.record_escalation();
     }
     if (tripped) {
-      telemetry_.on_breaker_trip();
+      telemetry_.add(Counter::kBreakerTrips);
       if (config_.flight != nullptr) {
         config_.flight->record(obs::FlightEventKind::kBreakerTrip, "server",
                                "worker", worker.id);
@@ -508,7 +509,7 @@ void InferenceServer::execute_layer(const LayerWork& work,
   // Same per-request semantics as the attention path's worklist: a layer
   // with any retries-exhausted op counts one escalation (the breaker is
   // not fed — the software path never touched this worker's device).
-  if (escalated) telemetry_.on_escalation();
+  if (escalated) telemetry_.add(Counter::kEscalations);
   response.path = response.fallback_ops > 0 ? ServePath::kFallbackReference
                   : recovered               ? ServePath::kGuardedRecovered
                                             : ServePath::kGuardedClean;

@@ -7,19 +7,22 @@
 namespace flashabft::serve {
 
 void ServeTelemetry::on_response(const ServeResponse& response) {
-  bump(completed_);
+  // Release: pairs with snapshot()'s acquire load of `completed`.
+  counters_[std::size_t(Counter::kCompleted)].fetch_add(
+      1, std::memory_order_release);
   switch (response.path) {
-    case ServePath::kGuardedClean: bump(clean_first_try_); break;
-    case ServePath::kGuardedRecovered: bump(recovered_); break;
-    case ServePath::kFallbackReference: bump(fallback_); break;
+    case ServePath::kGuardedClean: add(Counter::kCleanFirstTry); break;
+    case ServePath::kGuardedRecovered: add(Counter::kRecovered); break;
+    case ServePath::kFallbackReference: add(Counter::kFallback); break;
   }
-  bump(alarm_events_, response.alarm_events);
-  bump(op_executions_, response.op_executions);
-  bump(fallback_ops_, response.fallback_ops);
-  bump(meta_verifies_, response.meta_verifies);
-  bump(dmr_compares_, response.dmr_compares);
-  bump(dmr_mismatches_, response.dmr_mismatches);
-  bump(response.checksum_clean ? checksum_clean_ : checksum_dirty_);
+  add(Counter::kAlarmEvents, response.alarm_events);
+  add(Counter::kOpExecutions, response.op_executions);
+  add(Counter::kFallbackOps, response.fallback_ops);
+  add(Counter::kMetaVerifies, response.meta_verifies);
+  add(Counter::kDmrCompares, response.dmr_compares);
+  add(Counter::kDmrMismatches, response.dmr_mismatches);
+  add(response.checksum_clean ? Counter::kChecksumClean
+                              : Counter::kChecksumDirty);
 
   // Per-op-kind accounting from the unified report stream. Escalations are
   // attributed to the escalating op's kind; the fallback op that replaced
@@ -43,9 +46,9 @@ void ServeTelemetry::on_response(const ServeResponse& response) {
 }
 
 void ServeTelemetry::on_session_complete(const ServeResponse& response) {
-  bump(sessions_completed_);
-  bump(tokens_generated_, response.tokens.size());
-  bump(decode_steps_, response.decode_steps);
+  add(Counter::kSessionsCompleted);
+  add(Counter::kTokensGenerated, response.tokens.size());
+  add(Counter::kDecodeSteps, response.decode_steps);
   ttft_ns_.record(ns_from_us(response.ttft_us));
 }
 
@@ -55,49 +58,17 @@ TelemetrySnapshot ServeTelemetry::snapshot() const {
   };
   TelemetrySnapshot s;
   s.compute = compute_.load(std::memory_order_relaxed);
-  s.submitted = load(submitted_);
-  s.rejected = load(rejected_);
-  s.completed = load(completed_);
-  s.batches = load(batches_);
-  s.clean_first_try = load(clean_first_try_);
-  s.recovered = load(recovered_);
-  s.fallback = load(fallback_);
-  s.escalations = load(escalations_);
-  s.breaker_trips = load(breaker_trips_);
-  s.breaker_bypasses = load(breaker_bypasses_);
-  s.alarm_events = load(alarm_events_);
-  s.op_executions = load(op_executions_);
-  s.fallback_ops = load(fallback_ops_);
-  s.checksum_clean = load(checksum_clean_);
-  s.checksum_dirty = load(checksum_dirty_);
-  s.sessions_started = load(sessions_started_);
-  s.sessions_completed = load(sessions_completed_);
-  s.sessions_parked = load(sessions_parked_);
-  s.tokens_generated = load(tokens_generated_);
-  s.decode_steps = load(decode_steps_);
-  s.scheduler_ticks = load(scheduler_ticks_);
-  s.scheduled_steps = load(scheduled_steps_);
-  s.preemptions = load(preemptions_);
-  s.session_resumes = load(session_resumes_);
-  s.pages_in_use = load(pages_in_use_);
-  s.pages_total = load(pages_total_);
-  s.peak_pages_in_use = load(peak_pages_in_use_);
-  s.prefix_hits = load(prefix_hits_);
-  s.prefix_misses = load(prefix_misses_);
-  s.prefix_hit_tokens = load(prefix_hit_tokens_);
-  s.prefix_cow_forks = load(prefix_cow_forks_);
-  s.prefix_evictions = load(prefix_evictions_);
-  s.shared_heals = load(shared_heals_);
-  s.shared_pages = load(shared_pages_);
-  s.evictable_pages = load(evictable_pages_);
-  s.meta_verifies = load(meta_verifies_);
-  s.scrub_passes = load(scrub_passes_);
-  s.scrub_items = load(scrub_items_);
-  s.scrub_faults_found = load(scrub_faults_found_);
-  s.scrub_repairs = load(scrub_repairs_);
-  s.scrub_unrepairable = load(scrub_unrepairable_);
-  s.dmr_compares = load(dmr_compares_);
-  s.dmr_mismatches = load(dmr_mismatches_);
+  // `completed` first, with acquire. Each request's submit bump happens
+  // before its completion bump (the queue or scheduler handoff orders
+  // them), and this load synchronizes with every release bump it counts,
+  // so the `submitted` load below sees at least as many submits:
+  // completed <= submitted under concurrent recording.
+  const std::size_t completed = std::size_t(Counter::kCompleted);
+  s.*kCounters[completed].field =
+      counters_[completed].load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (i != completed) s.*kCounters[i].field = load(counters_[i]);
+  }
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     s.per_kind[k].checks = load(kind_checks_[k]);
     s.per_kind[k].alarms = load(kind_alarms_[k]);
@@ -127,65 +98,38 @@ std::string TelemetrySnapshot::render(double wall_seconds) const {
     t.add_row({name, format_number(value, precision)});
   };
   t.add_row({"compute backend", backend_name(compute)});
-  row("requests submitted", double(submitted), 0);
-  row("requests rejected", double(rejected), 0);
-  row("requests completed", double(completed), 0);
-  row("batches", double(batches), 0);
-  row("throughput (req/s)", throughput_rps(wall_seconds));
-  row("clean first try", double(clean_first_try), 0);
-  row("recovered", double(recovered), 0);
-  row("fallback served", double(fallback), 0);
-  row("escalations", double(escalations), 0);
-  row("breaker trips", double(breaker_trips), 0);
-  row("breaker bypasses", double(breaker_bypasses), 0);
-  row("alarm events", double(alarm_events), 0);
-  row("op executions", double(op_executions), 0);
-  row("fallback ops", double(fallback_ops), 0);
-  row("checksum clean", double(checksum_clean), 0);
-  row("checksum dirty", double(checksum_dirty), 0);
-  if (sessions_started > 0 || sessions_parked > 0) {
-    row("gen sessions started", double(sessions_started), 0);
-    row("gen sessions completed", double(sessions_completed), 0);
-    row("gen sessions parked", double(sessions_parked), 0);
-    row("tokens generated", double(tokens_generated), 0);
-    row("decode steps", double(decode_steps), 0);
-    if (wall_seconds > 0.0) {
-      row("tokens/sec", tokens_per_second(wall_seconds));
+  for (std::size_t g = 0; g < kCounterGroupCount; ++g) {
+    const CounterGroup group = CounterGroup(g);
+    bool shown = group == CounterGroup::kRequests;
+    for (const CounterInfo& c : kCounters) {
+      shown = shown || (c.group == group && this->*c.field != 0);
     }
-    row("ttft p50 (us)", percentile_us(ttft_ns, 0.50));
-    row("ttft p99 (us)", percentile_us(ttft_ns, 0.99));
-  }
-  if (scheduler_ticks > 0) {
-    row("scheduler ticks", double(scheduler_ticks), 0);
-    row("batch occupancy", batch_occupancy(), 2);
-    row("preemptions", double(preemptions), 0);
-    row("session resumes", double(session_resumes), 0);
-    row("pages in use", double(pages_in_use), 0);
-    row("peak page utilization", peak_page_utilization(), 2);
-  }
-  if (prefix_hits + prefix_misses > 0) {
-    row("prefix hits", double(prefix_hits), 0);
-    row("prefix misses", double(prefix_misses), 0);
-    row("prefix hit tokens", double(prefix_hit_tokens), 0);
-    row("prefix cow forks", double(prefix_cow_forks), 0);
-    row("prefix evictions", double(prefix_evictions), 0);
-    row("shared heals", double(shared_heals), 0);
-    row("shared pages", double(shared_pages), 0);
-    row("evictable pages", double(evictable_pages), 0);
-  }
-  if (meta_verifies > 0) {
-    row("meta verifies", double(meta_verifies), 0);
-  }
-  if (scrub_passes > 0) {
-    row("scrub passes", double(scrub_passes), 0);
-    row("scrub items", double(scrub_items), 0);
-    row("scrub faults found", double(scrub_faults_found), 0);
-    row("scrub repairs", double(scrub_repairs), 0);
-    row("scrub unrepairable", double(scrub_unrepairable), 0);
-  }
-  if (dmr_compares > 0) {
-    row("dmr compares", double(dmr_compares), 0);
-    row("dmr mismatches", double(dmr_mismatches), 0);
+    if (!shown) continue;
+    for (const CounterInfo& c : kCounters) {
+      if (c.group == group) t.add_row({c.name, std::to_string(this->*c.field)});
+    }
+    // The group's derived rates.
+    switch (group) {
+      case CounterGroup::kRequests:
+        row("throughput (req/s)", throughput_rps(wall_seconds));
+        break;
+      case CounterGroup::kSessions:
+        if (wall_seconds > 0.0) {
+          row("tokens/sec", tokens_per_second(wall_seconds));
+        }
+        row("ttft p50 (us)", percentile_us(ttft_ns, 0.50));
+        row("ttft p99 (us)", percentile_us(ttft_ns, 0.99));
+        break;
+      case CounterGroup::kScheduler:
+        row("batch occupancy", batch_occupancy(), 2);
+        row("peak page utilization", peak_page_utilization(), 2);
+        break;
+      case CounterGroup::kPrefix:
+        row("prefix hit rate", prefix_hit_rate(), 2);
+        break;
+      default:
+        break;
+    }
   }
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     const OpKindStats& stats = per_kind[k];
@@ -233,47 +177,19 @@ std::string TelemetrySnapshot::prometheus_text(double wall_seconds) const {
   // 15 significant digits: distinct bucket edges and seconds sums that
   // read back as the nanosecond totals they scale.
   out.precision(15);
-  const auto counter = [&out](const char* name, std::uint64_t value,
-                              const char* help) {
-    out << "# HELP flashabft_" << name << " " << help << "\n"
-        << "# TYPE flashabft_" << name << " counter\n"
-        << "flashabft_" << name << " " << value << "\n";
-  };
-  const auto gauge = [&out](const char* name, double value,
-                            const char* help) {
-    out << "# HELP flashabft_" << name << " " << help << "\n"
-        << "# TYPE flashabft_" << name << " gauge\n"
-        << "flashabft_" << name << " " << value << "\n";
-  };
-
-  counter("requests_submitted_total", submitted, "admission attempts");
-  counter("requests_rejected_total", rejected, "requests shed at admission");
-  counter("requests_completed_total", completed, "responses delivered");
-  counter("alarm_events_total", alarm_events, "checksum alarms observed");
-  counter("op_executions_total", op_executions,
-          "guarded op runs including retries");
-  counter("fallback_ops_total", fallback_ops,
-          "ops served by the reference kernel");
-  counter("escalations_total", escalations, "retry budgets exhausted");
-  counter("breaker_trips_total", breaker_trips, "circuit breakers opened");
-  counter("checksum_dirty_total", checksum_dirty,
-          "responses with an accepted alarmed op");
-  counter("sessions_completed_total", sessions_completed,
-          "generation sessions finished");
-  counter("tokens_generated_total", tokens_generated, "tokens emitted");
-  counter("scheduler_ticks_total", scheduler_ticks, "decode sweeps");
-  counter("preemptions_total", preemptions,
-          "sessions evicted under page pressure");
-  counter("session_resumes_total", session_resumes,
-          "preempted/parked sessions resumed");
-  counter("scrub_passes_total", scrub_passes, "background scrub passes");
-  counter("scrub_repairs_total", scrub_repairs,
-          "latent faults healed by the scrubber");
-  gauge("pages_in_use", double(pages_in_use), "KV pool pages allocated now");
-  gauge("pages_total", double(pages_total), "KV pool size");
+  for (const CounterInfo& c : kCounters) {
+    const bool is_counter = c.type == MetricType::kCounter;
+    const std::string family =
+        std::string("flashabft_") + c.name + (is_counter ? "_total" : "");
+    out << "# HELP " << family << ' ' << c.help << "\n"
+        << "# TYPE " << family << (is_counter ? " counter\n" : " gauge\n")
+        << family << ' ' << this->*c.field << "\n";
+  }
   if (wall_seconds > 0.0) {
-    gauge("throughput_rps", throughput_rps(wall_seconds),
-          "completed requests per second");
+    out << "# HELP flashabft_throughput_rps completed requests per second\n"
+        << "# TYPE flashabft_throughput_rps gauge\n"
+        << "flashabft_throughput_rps " << throughput_rps(wall_seconds)
+        << "\n";
   }
 
   out << "# HELP flashabft_op_checks_total guarded ops reported, by kind\n"

@@ -1,5 +1,8 @@
 // Serving telemetry: counters and latency distributions.
 //
+// Every counter is declared once, in the FLASHABFT_SERVE_COUNTERS registry
+// below; the snapshot fields, the recorder storage, render(),
+// prometheus_text() and serve_throughput's scenario JSON all loop over it.
 // Counters are atomics and latencies go into lock-free log-linear
 // histograms (obs/histogram.hpp), so workers record concurrently without a
 // lock and a snapshot copies plain mergeable histograms. The
@@ -12,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -42,76 +46,156 @@ struct OpKindStats {
   std::uint64_t escalated = 0;  ///< ops that exhausted their retries.
 };
 
-/// A consistent copy of all telemetry at one instant.
+/// Prometheus type of a registry entry: a counter only grows and is
+/// exported as `flashabft_<name>_total`; a gauge is a level, exported as
+/// `flashabft_<name>`.
+enum class MetricType { kCounter, kGauge };
+
+/// The render() section a counter belongs to. A section prints when any of
+/// its counters is non-zero; kRequests always prints.
+enum class CounterGroup {
+  kRequests,
+  kSessions,
+  kScheduler,
+  kPrefix,
+  kControlPlane,
+  kScrub,
+  kDmr,
+};
+inline constexpr std::size_t kCounterGroupCount =
+    std::size_t(CounterGroup::kDmr) + 1;
+
+// The serving counter registry: X(Id, field, type, group, help) per
+// counter. `field` is the TelemetrySnapshot member, the render label, the
+// scenario-JSON key and the Prometheus family stem; `Id` names it at the
+// recorder call sites (ServeTelemetry::add/set).
+//
+// `submitted` counts admission *attempts*, stamped before the queue push
+// (see snapshot() for why completed <= submitted holds under concurrent
+// snapshots); attempts that failed admission are also counted in
+// `rejected`, so accepted = submitted - rejected. The scheduler, prefix,
+// control-plane, scrub and DMR groups stay zero when their subsystem is
+// off.
+#define FLASHABFT_SERVE_COUNTERS(X)                                         \
+  X(kSubmitted, submitted, kCounter, kRequests, "admission attempts")       \
+  X(kRejected, rejected, kCounter, kRequests,                               \
+    "requests shed at admission (full or shut down)")                       \
+  X(kCompleted, completed, kCounter, kRequests, "responses delivered")      \
+  X(kBatches, batches, kCounter, kRequests, "worker batches formed")        \
+  X(kCleanFirstTry, clean_first_try, kCounter, kRequests,                   \
+    "responses clean on the first guarded attempt")                         \
+  X(kRecovered, recovered, kCounter, kRequests,                             \
+    "responses whose retry passed the check")                               \
+  X(kFallback, fallback, kCounter, kRequests,                               \
+    "responses served (partly) by the reference kernel")                    \
+  X(kEscalations, escalations, kCounter, kRequests,                         \
+    "retry budgets exhausted")                                              \
+  X(kBreakerTrips, breaker_trips, kCounter, kRequests,                      \
+    "circuit breakers opened")                                              \
+  X(kBreakerBypasses, breaker_bypasses, kCounter, kRequests,                \
+    "requests routed straight to the fallback by an open breaker")          \
+  X(kAlarmEvents, alarm_events, kCounter, kRequests,                        \
+    "checksum alarms observed")                                             \
+  X(kOpExecutions, op_executions, kCounter, kRequests,                      \
+    "guarded op runs including retries")                                    \
+  X(kFallbackOps, fallback_ops, kCounter, kRequests,                        \
+    "ops served by the reference kernel")                                   \
+  X(kChecksumClean, checksum_clean, kCounter, kRequests,                    \
+    "responses whose accepted ops all passed the check")                    \
+  X(kChecksumDirty, checksum_dirty, kCounter, kRequests,                    \
+    "responses with an accepted alarmed op")                                \
+  X(kSessionsStarted, sessions_started, kCounter, kSessions,                \
+    "generation sessions activated (prefill scheduled)")                    \
+  X(kSessionsCompleted, sessions_completed, kCounter, kSessions,            \
+    "generation sessions finished")                                         \
+  X(kSessionsParked, sessions_parked, kCounter, kSessions,                  \
+    "generation sessions that waited for a session slot")                   \
+  X(kTokensGenerated, tokens_generated, kCounter, kSessions,                \
+    "tokens emitted")                                                       \
+  X(kDecodeSteps, decode_steps, kCounter, kSessions,                        \
+    "decode steps after each prefill")                                      \
+  X(kSchedulerTicks, scheduler_ticks, kCounter, kScheduler,                 \
+    "decode sweeps executed")                                               \
+  X(kScheduledSteps, scheduled_steps, kCounter, kScheduler,                 \
+    "session-steps across all decode sweeps")                               \
+  X(kPreemptions, preemptions, kCounter, kScheduler,                        \
+    "sessions whose pages were taken under page pressure")                  \
+  X(kSessionResumes, session_resumes, kCounter, kScheduler,                 \
+    "lossless re-prefills after a preemption")                              \
+  X(kPagesInUse, pages_in_use, kGauge, kScheduler,                          \
+    "KV pool pages allocated now")                                          \
+  X(kPagesTotal, pages_total, kGauge, kScheduler,                           \
+    "KV pool size (0 = no pool)")                                           \
+  X(kPeakPagesInUse, peak_pages_in_use, kGauge, kScheduler,                 \
+    "most KV pool pages allocated at once")                                 \
+  X(kPrefixHits, prefix_hits, kCounter, kPrefix,                            \
+    "prefills served from the prefix index")                                \
+  X(kPrefixMisses, prefix_misses, kCounter, kPrefix,                        \
+    "prefix lookups that found nothing")                                    \
+  X(kPrefixHitTokens, prefix_hit_tokens, kCounter, kPrefix,                 \
+    "prompt rows skipped by prefix hits")                                   \
+  X(kPrefixCowForks, prefix_cow_forks, kCounter, kPrefix,                   \
+    "private copies forked off shared pages")                               \
+  X(kPrefixEvictions, prefix_evictions, kCounter, kPrefix,                  \
+    "LRU-evicted prefix registry entries")                                  \
+  X(kSharedHeals, shared_heals, kCounter, kPrefix,                          \
+    "shared pages healed (once each)")                                      \
+  X(kSharedPages, shared_pages, kGauge, kPrefix,                            \
+    "allocated shared pages")                                               \
+  X(kEvictablePages, evictable_pages, kGauge, kPrefix,                      \
+    "registry-only shared pages")                                           \
+  X(kMetaVerifies, meta_verifies, kCounter, kControlPlane,                  \
+    "sealed-metadata boundary checks")                                      \
+  X(kScrubPasses, scrub_passes, kCounter, kScrub,                           \
+    "background scrub passes")                                              \
+  X(kScrubItems, scrub_items, kCounter, kScrub,                             \
+    "verify-and-heal items scrubbed")                                       \
+  X(kScrubFaultsFound, scrub_faults_found, kCounter, kScrub,                \
+    "latent faults the scrubber hit")                                       \
+  X(kScrubRepairs, scrub_repairs, kCounter, kScrub,                         \
+    "latent faults healed from checkpoint mirrors")                         \
+  X(kScrubUnrepairable, scrub_unrepairable, kCounter, kScrub,               \
+    "double faults the scrubber escalated")                                 \
+  X(kDmrCompares, dmr_compares, kCounter, kDmr,                             \
+    "dual-run glue comparisons")                                            \
+  X(kDmrMismatches, dmr_mismatches, kCounter, kDmr,                         \
+    "bitwise dual-run divergences caught")
+
+/// A registry entry's recorder handle (ServeTelemetry::add/set).
+enum class Counter : std::size_t {
+#define FLASHABFT_COUNTER_ID(id, field, type, group, help) id,
+  FLASHABFT_SERVE_COUNTERS(FLASHABFT_COUNTER_ID)
+#undef FLASHABFT_COUNTER_ID
+};
+#define FLASHABFT_COUNTER_ONE(id, field, type, group, help) +1
+inline constexpr std::size_t kCounterCount =
+    0 FLASHABFT_SERVE_COUNTERS(FLASHABFT_COUNTER_ONE);
+#undef FLASHABFT_COUNTER_ONE
+
+/// A copy of all telemetry. Each counter is loaded on its own, so the copy
+/// is not one instant's cut across counters; the one cross-counter promise
+/// is completed <= submitted (see ServeTelemetry::snapshot). Copies taken
+/// after the server has shut down are exact.
 struct TelemetrySnapshot {
   /// Compute backend the server's software guarded path ran on.
   ComputeBackend compute = ComputeBackend::kScalar;
 
-  // Request lifecycle. `submitted` counts admission *attempts* (stamped
-  // before the queue push, so completed <= submitted always holds under
-  // concurrent snapshots); attempts that failed admission are also counted
-  // in `rejected`, so accepted = submitted - rejected.
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;   ///< shed at admission (full or shut down).
-  std::uint64_t completed = 0;
-  std::uint64_t batches = 0;
-
-  // Outcome paths.
-  std::uint64_t clean_first_try = 0;
-  std::uint64_t recovered = 0;
-  std::uint64_t fallback = 0;         ///< served (partly) by reference kernel.
-  std::uint64_t escalations = 0;      ///< retries exhausted on a worker.
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_bypasses = 0; ///< requests routed straight to fallback.
-
-  // Fault accounting.
-  std::uint64_t alarm_events = 0;   ///< op-alarm observations.
-  std::uint64_t op_executions = 0;  ///< guarded op-runs incl. retries.
-  std::uint64_t fallback_ops = 0;   ///< ops served by the reference kernel.
-  std::uint64_t checksum_clean = 0;
-  std::uint64_t checksum_dirty = 0;
-
-  // Generation sessions.
-  std::uint64_t sessions_started = 0;    ///< activated (prefill scheduled).
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_parked = 0;     ///< waited for a session slot.
-  std::uint64_t tokens_generated = 0;
-  std::uint64_t decode_steps = 0;        ///< steps after each prefill.
-
-  // Continuous-batching scheduler.
-  std::uint64_t scheduler_ticks = 0;     ///< decode sweeps executed.
-  std::uint64_t scheduled_steps = 0;     ///< session-steps across all ticks.
-  std::uint64_t preemptions = 0;         ///< sessions whose pages were taken.
-  std::uint64_t session_resumes = 0;     ///< lossless re-prefills after one.
-  std::uint64_t pages_in_use = 0;        ///< pool gauge at snapshot time.
-  std::uint64_t pages_total = 0;         ///< pool size (0 = no pool).
-  std::uint64_t peak_pages_in_use = 0;
-
-  // Shared-prefix cache (zero with caching off).
-  std::uint64_t prefix_hits = 0;        ///< prefills served from the index.
-  std::uint64_t prefix_misses = 0;      ///< lookups that found nothing.
-  std::uint64_t prefix_hit_tokens = 0;  ///< prompt rows skipped by hits.
-  std::uint64_t prefix_cow_forks = 0;   ///< private copies off shared pages.
-  std::uint64_t prefix_evictions = 0;   ///< LRU-evicted registry entries.
-  std::uint64_t shared_heals = 0;       ///< shared pages healed (once each).
-  std::uint64_t shared_pages = 0;       ///< gauge: allocated shared pages.
-  std::uint64_t evictable_pages = 0;    ///< gauge: registry-only shared pages.
-
-  // Control plane + background scrub (zero when the guard/scrubber is off).
-  std::uint64_t meta_verifies = 0;       ///< sealed-metadata boundary checks.
-  std::uint64_t scrub_passes = 0;        ///< scrub passes executed.
-  std::uint64_t scrub_items = 0;         ///< verify-and-heal items scrubbed.
-  std::uint64_t scrub_faults_found = 0;  ///< latent faults the scrub hit.
-  std::uint64_t scrub_repairs = 0;       ///< healed from checkpoint mirrors.
-  std::uint64_t scrub_unrepairable = 0;  ///< double faults that escalated.
-  std::uint64_t dmr_compares = 0;        ///< dual-run glue comparisons.
-  std::uint64_t dmr_mismatches = 0;      ///< bitwise divergences caught.
+  // One field per registry entry, named by it.
+#define FLASHABFT_COUNTER_FIELD(id, field, type, group, help) \
+  std::uint64_t field = 0;
+  FLASHABFT_SERVE_COUNTERS(FLASHABFT_COUNTER_FIELD)
+#undef FLASHABFT_COUNTER_FIELD
 
   /// Mean decode-batch occupancy (sessions advanced per tick).
   [[nodiscard]] double batch_occupancy() const {
     return scheduler_ticks > 0
                ? double(scheduled_steps) / double(scheduler_ticks)
                : 0.0;
+  }
+  /// Share of prefix-index lookups that hit.
+  [[nodiscard]] double prefix_hit_rate() const {
+    const std::uint64_t lookups = prefix_hits + prefix_misses;
+    return lookups > 0 ? double(prefix_hits) / double(lookups) : 0.0;
   }
   /// Peak fraction of the page pool in use.
   [[nodiscard]] double peak_page_utilization() const {
@@ -140,72 +224,51 @@ struct TelemetrySnapshot {
   /// Generated tokens per second over `wall_seconds`.
   [[nodiscard]] double tokens_per_second(double wall_seconds) const;
 
-  /// Two-column human-readable table (bench/demo output).
+  /// Two-column human-readable table (bench/demo output): the registry
+  /// counters by group, with each group's derived rates, then the per-kind,
+  /// ABFT-overhead and latency rows.
   [[nodiscard]] std::string render(double wall_seconds) const;
 
-  /// Prometheus text exposition (the scrape format): every counter/gauge as
-  /// a `flashabft_*` metric, per-kind series labeled {kind="..."}, and the
-  /// guard-phase timing as totals plus cumulative `_bucket{le="..."}`
+  /// Prometheus text exposition (the scrape format): one `flashabft_*`
+  /// family per registry entry, per-kind series labeled {kind="..."}, and
+  /// the guard-phase timing as totals plus cumulative `_bucket{le="..."}`
   /// histograms. One self-contained string — no client library involved.
   [[nodiscard]] std::string prometheus_text(double wall_seconds) const;
 };
 
+/// One registry entry as data, for the loops that derive every surface.
+struct CounterInfo {
+  const char* name;
+  std::uint64_t TelemetrySnapshot::*field;
+  MetricType type;
+  CounterGroup group;
+  const char* help;
+};
+
+/// The registry, indexed by std::size_t(Counter).
+inline constexpr std::array<CounterInfo, kCounterCount> kCounters{{
+#define FLASHABFT_COUNTER_INFO(id, field, type, group, help)               \
+  {#field, &TelemetrySnapshot::field, MetricType::type, CounterGroup::group, \
+   help},
+    FLASHABFT_SERVE_COUNTERS(FLASHABFT_COUNTER_INFO)
+#undef FLASHABFT_COUNTER_INFO
+}};
+
 /// Thread-safe telemetry sink shared by all workers of one server.
 class ServeTelemetry {
  public:
-  void on_submit() { bump(submitted_); }
-  void on_reject() { bump(rejected_); }
-  void on_batch() { bump(batches_); }
-  void on_escalation() { bump(escalations_); }
-  void on_breaker_trip() { bump(breaker_trips_); }
-  void on_breaker_bypass() { bump(breaker_bypasses_); }
-  void on_session_start() { bump(sessions_started_); }
-  void on_session_parked() { bump(sessions_parked_); }
-  /// One continuous-scheduler decode sweep advancing `batch` sessions.
-  void on_scheduler_tick(std::size_t batch) {
-    bump(scheduler_ticks_);
-    bump(scheduled_steps_, batch);
+  /// Adds `n` to a counter (relaxed: one atomic add, no ordering).
+  void add(Counter counter, std::uint64_t n = 1) {
+    counters_[std::size_t(counter)].fetch_add(n, std::memory_order_relaxed);
   }
-  void on_preemption() { bump(preemptions_); }
-  void on_session_resume() { bump(session_resumes_); }
-  /// Publishes the scheduler's page-pool occupancy (scheduler thread only;
-  /// peak is tracked by the caller alongside the gauge).
-  void set_page_usage(std::size_t in_use, std::size_t total,
-                      std::size_t peak) {
-    pages_in_use_.store(in_use, std::memory_order_relaxed);
-    pages_total_.store(total, std::memory_order_relaxed);
-    peak_pages_in_use_.store(peak, std::memory_order_relaxed);
+  /// Publishes a value the caller owns: a gauge, or a total kept by the
+  /// pool or scrubber and mirrored here.
+  void set(Counter counter, std::uint64_t value) {
+    counters_[std::size_t(counter)].store(value, std::memory_order_relaxed);
   }
   /// Stamps the compute backend served traffic runs on (server construction).
   void set_compute(ComputeBackend compute) {
     compute_.store(compute, std::memory_order_relaxed);
-  }
-  /// Publishes the scrubber's monotonic counters (gauge-style, like
-  /// set_page_usage: the scrubber owns the totals, telemetry mirrors them).
-  void set_scrub(std::uint64_t passes, std::uint64_t items,
-                 std::uint64_t faults_found, std::uint64_t repairs,
-                 std::uint64_t unrepairable) {
-    scrub_passes_.store(passes, std::memory_order_relaxed);
-    scrub_items_.store(items, std::memory_order_relaxed);
-    scrub_faults_found_.store(faults_found, std::memory_order_relaxed);
-    scrub_repairs_.store(repairs, std::memory_order_relaxed);
-    scrub_unrepairable_.store(unrepairable, std::memory_order_relaxed);
-  }
-
-  /// Publishes the pool's shared-prefix counters and gauges (scheduler
-  /// thread only, gauge-style like set_page_usage).
-  void set_prefix(std::uint64_t hits, std::uint64_t misses,
-                  std::uint64_t hit_tokens, std::uint64_t cow_forks,
-                  std::uint64_t evictions, std::uint64_t heals,
-                  std::uint64_t shared, std::uint64_t evictable) {
-    prefix_hits_.store(hits, std::memory_order_relaxed);
-    prefix_misses_.store(misses, std::memory_order_relaxed);
-    prefix_hit_tokens_.store(hit_tokens, std::memory_order_relaxed);
-    prefix_cow_forks_.store(cow_forks, std::memory_order_relaxed);
-    prefix_evictions_.store(evictions, std::memory_order_relaxed);
-    shared_heals_.store(heals, std::memory_order_relaxed);
-    shared_pages_.store(shared, std::memory_order_relaxed);
-    evictable_pages_.store(evictable, std::memory_order_relaxed);
   }
 
   /// Records one completed response: outcome path, fault accounting and the
@@ -233,49 +296,7 @@ class ServeTelemetry {
 
   mutable obs::OpTimingProfiler op_profiler_;
   std::atomic<ComputeBackend> compute_{ComputeBackend::kScalar};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> clean_first_try_{0};
-  std::atomic<std::uint64_t> recovered_{0};
-  std::atomic<std::uint64_t> fallback_{0};
-  std::atomic<std::uint64_t> escalations_{0};
-  std::atomic<std::uint64_t> breaker_trips_{0};
-  std::atomic<std::uint64_t> breaker_bypasses_{0};
-  std::atomic<std::uint64_t> alarm_events_{0};
-  std::atomic<std::uint64_t> op_executions_{0};
-  std::atomic<std::uint64_t> fallback_ops_{0};
-  std::atomic<std::uint64_t> checksum_clean_{0};
-  std::atomic<std::uint64_t> checksum_dirty_{0};
-  std::atomic<std::uint64_t> sessions_started_{0};
-  std::atomic<std::uint64_t> sessions_completed_{0};
-  std::atomic<std::uint64_t> sessions_parked_{0};
-  std::atomic<std::uint64_t> tokens_generated_{0};
-  std::atomic<std::uint64_t> decode_steps_{0};
-  std::atomic<std::uint64_t> scheduler_ticks_{0};
-  std::atomic<std::uint64_t> scheduled_steps_{0};
-  std::atomic<std::uint64_t> preemptions_{0};
-  std::atomic<std::uint64_t> session_resumes_{0};
-  std::atomic<std::uint64_t> pages_in_use_{0};
-  std::atomic<std::uint64_t> pages_total_{0};
-  std::atomic<std::uint64_t> peak_pages_in_use_{0};
-  std::atomic<std::uint64_t> prefix_hits_{0};
-  std::atomic<std::uint64_t> prefix_misses_{0};
-  std::atomic<std::uint64_t> prefix_hit_tokens_{0};
-  std::atomic<std::uint64_t> prefix_cow_forks_{0};
-  std::atomic<std::uint64_t> prefix_evictions_{0};
-  std::atomic<std::uint64_t> shared_heals_{0};
-  std::atomic<std::uint64_t> shared_pages_{0};
-  std::atomic<std::uint64_t> evictable_pages_{0};
-  std::atomic<std::uint64_t> meta_verifies_{0};
-  std::atomic<std::uint64_t> scrub_passes_{0};
-  std::atomic<std::uint64_t> scrub_items_{0};
-  std::atomic<std::uint64_t> scrub_faults_found_{0};
-  std::atomic<std::uint64_t> scrub_repairs_{0};
-  std::atomic<std::uint64_t> scrub_unrepairable_{0};
-  std::atomic<std::uint64_t> dmr_compares_{0};
-  std::atomic<std::uint64_t> dmr_mismatches_{0};
+  std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
   std::array<std::atomic<std::uint64_t>, kOpKindCount> kind_checks_{};
   std::array<std::atomic<std::uint64_t>, kOpKindCount> kind_alarms_{};
   std::array<std::atomic<std::uint64_t>, kOpKindCount> kind_recovered_{};

@@ -168,13 +168,11 @@ TEST(Telemetry, CountersReconcileAcrossPaths) {
     r.reports.push_back(op);
     return r;
   };
-  telemetry.on_submit();
-  telemetry.on_submit();
-  telemetry.on_submit();
-  telemetry.on_batch();
+  telemetry.add(Counter::kSubmitted, 3);
+  telemetry.add(Counter::kBatches);
   telemetry.on_response(response(ServePath::kGuardedClean, true, 0));
   telemetry.on_response(response(ServePath::kGuardedRecovered, true, 1));
-  telemetry.on_escalation();
+  telemetry.add(Counter::kEscalations);
   telemetry.on_response(response(ServePath::kFallbackReference, true, 3));
 
   const TelemetrySnapshot s = telemetry.snapshot();
@@ -194,7 +192,68 @@ TEST(Telemetry, CountersReconcileAcrossPaths) {
   EXPECT_EQ(attention.recovered, 1u);
   EXPECT_DOUBLE_EQ(percentile_us(s.latency_ns, 0.50), 100.0);
   EXPECT_GT(s.throughput_rps(2.0), 0.0);
-  EXPECT_FALSE(s.render(1.0).empty());
+  // The requests group always prints; an all-zero group does not.
+  const std::string table = s.render(1.0);
+  EXPECT_NE(table.find("| submitted "), std::string::npos);
+  EXPECT_EQ(table.find("scrub_passes"), std::string::npos);
+}
+
+TEST(Telemetry, RegistryRoundTripsEveryCounter) {
+  // A distinct value per entry, half through add() and half through set():
+  // a field missing from the snapshot loop, or two entries sharing one
+  // field, reads back the wrong value.
+  ServeTelemetry telemetry;
+  const auto value = [](std::size_t i) { return 1000 + 7 * i; };
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (i % 2 == 0) {
+      telemetry.add(Counter(i), value(i) - 1);
+      telemetry.add(Counter(i));
+    } else {
+      telemetry.set(Counter(i), value(i));
+    }
+  }
+  const TelemetrySnapshot s = telemetry.snapshot();
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const CounterInfo& c = kCounters[i];
+    EXPECT_EQ(s.*c.field, value(i)) << c.name;
+    EXPECT_TRUE(names.insert(c.name).second) << "duplicate " << c.name;
+  }
+
+  // The exposition carries exactly one family per entry, typed and helped,
+  // whose one sample is the snapshot value.
+  std::map<std::string, std::string> type_of;
+  std::map<std::string, int> helps;
+  std::map<std::string, std::vector<std::string>> samples;
+  std::istringstream in(s.prometheus_text(0.0));
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string first, keyword, family;
+    if (line[0] == '#') {
+      words >> first >> keyword >> family;
+      if (keyword == "HELP") ++helps[family];
+      if (keyword == "TYPE") {
+        ASSERT_FALSE(type_of.count(family)) << "second TYPE for " << family;
+        words >> type_of[family];
+      }
+      continue;
+    }
+    words >> family;
+    std::string sample;
+    words >> sample;
+    samples[family].push_back(sample);
+  }
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const CounterInfo& c = kCounters[i];
+    const bool is_counter = c.type == MetricType::kCounter;
+    const std::string family =
+        std::string("flashabft_") + c.name + (is_counter ? "_total" : "");
+    EXPECT_EQ(helps[family], 1) << family;
+    EXPECT_EQ(type_of[family], is_counter ? "counter" : "gauge") << family;
+    ASSERT_EQ(samples[family].size(), 1u) << family;
+    EXPECT_EQ(samples[family].front(), std::to_string(value(i))) << family;
+  }
 }
 
 TEST(Telemetry, PrometheusExpositionIsWellFormed) {

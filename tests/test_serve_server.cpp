@@ -4,7 +4,9 @@
 // telemetry must reconcile with the injected fault plan.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "serve/load_driver.hpp"
@@ -252,6 +254,46 @@ TEST(InferenceServer, MalformedRequestFailsItsFutureNotTheServer) {
   const ServeResponse after = server.submit(make_request(1, 801)).get();
   EXPECT_TRUE(after.checksum_clean);
   EXPECT_EQ(after.path, ServePath::kGuardedClean);
+}
+
+TEST(InferenceServer, ConcurrentSnapshotsNeverSeeMoreCompletedThanSubmitted) {
+  // Clients submit and wait while a reader snapshots in a loop. A snapshot
+  // that loaded `submitted` before `completed` could count a request that
+  // was submitted and completed between the two loads as completed only;
+  // the race is timing-dependent, so the test runs many short round trips.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 100;
+  std::vector<std::vector<ServeRequest>> requests(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      requests[c].push_back(make_request(1, 1000 + c * kPerClient + i));
+    }
+  }
+  InferenceServer server(small_server_config(/*workers=*/2));
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> snapshots{0};
+  std::atomic<std::size_t> violations{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const TelemetrySnapshot s = server.telemetry().snapshot();
+      if (s.completed > s.submitted) violations.fetch_add(1);
+      snapshots.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &mine = requests[c]] {
+      for (ServeRequest& request : mine) {
+        EXPECT_TRUE(server.submit(std::move(request)).get().checksum_clean);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(server.telemetry().snapshot().completed, kClients * kPerClient);
 }
 
 TEST(LoadDriver, FaultFreeCampaignIsAllClean) {
